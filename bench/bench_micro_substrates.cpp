@@ -2,8 +2,9 @@
 // feature extraction and kernel evaluation, WL-GP fitting (the O(N^3) GP
 // cost the paper argues dominates the WL kernel cost), complex MNA AC
 // analysis, pole extraction, one full sized-circuit evaluation (the
-// "simulation" unit of every experiment), and the persistent evaluation
-// store (append with per-record fsync, and indexed lookup).
+// "simulation" unit of every experiment), the VGAE-BO autoencoder's Adam
+// step and training step, and the persistent evaluation store (append with
+// per-record fsync, and indexed lookup).
 //
 // Options: --store FILE (path for the store microbenchmarks; default
 //          bench-store-micro.bin in the working directory, removed after)
@@ -14,6 +15,9 @@
 #include <memory>
 #include <string>
 
+#include "baselines/nn.hpp"
+#include "baselines/vae.hpp"
+#include "baselines/vgae_bo.hpp"
 #include "circuit/behavioral.hpp"
 #include "circuit/circuit_graph.hpp"
 #include "circuit/library.hpp"
@@ -250,6 +254,59 @@ void BM_TopologyIndexRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopologyIndexRoundTrip);
+
+// ---- VGAE-BO autoencoder --------------------------------------------------
+
+// One Adam step over 7,613 parameters, the campaign VAE's count. Arg 0,
+// fresh: every gradient is dense. Arg 1, settled: 24% of the elements (the
+// campaign's share of dead ReLU units and inactive one-hot inputs) first
+// see 8,000 zero-gradient steps, so their first moments sit at the
+// subnormal fixed point, as they do for most of the campaign's 90,000
+// training steps. A fresh start never reaches that state.
+void BM_AdamStep(benchmark::State& state) {
+  const bool settled = state.range(0) != 0;
+  const std::size_t n = 7613;
+  util::Rng rng(5);
+  std::vector<double> params(n), grads(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    params[i] = rng.uniform(-0.1, 0.1);
+    grads[i] = rng.normal() * 1e-2;
+  }
+  baselines::Adam adam(3e-3);
+  if (settled) {
+    for (int t = 0; t < 100; ++t) adam.step({{params, grads}});
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 25 < 6) grads[i] = 0.0;
+    }
+    for (int t = 0; t < 8000; ++t) adam.step({{params, grads}});
+  }
+  for (auto _ : state) {
+    adam.step({{params, grads}});
+    benchmark::DoNotOptimize(params.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_AdamStep)->ArgName("settled")->Arg(0)->Arg(1);
+
+// One VAE training step (forward, backward, Adam) at the campaign's
+// VaeConfig; items are steps. Timed after 45,000 steps, halfway through the
+// campaign's training: dead units accumulate over the whole run (about 1,100
+// moments sit at the subnormal fixed point by then, almost none after 9,000
+// steps), so an early window would miss what the campaign pays for.
+void BM_VaeTrainStep(benchmark::State& state) {
+  baselines::VaeConfig config = baselines::VgaeBoConfig{}.vae;
+  config.epochs = 1;
+  config.train_samples = 1000;
+  util::Rng rng(0xAEDC0DEULL);
+  baselines::Vae vae(config, rng);
+  for (int i = 0; i < 45; ++i) vae.train(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vae.train(rng));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(config.train_samples));
+}
+BENCHMARK(BM_VaeTrainStep)->Unit(benchmark::kMillisecond)->Iterations(10);
 
 // ---- persistent evaluation store ----------------------------------------
 

@@ -49,12 +49,7 @@ Vae::Vae(VaeConfig config, util::Rng& rng)
       enc2_(config.hidden_dim, 2 * config.latent_dim, rng),
       dec1_(config.latent_dim, config.hidden_dim, rng),
       dec2_(config.hidden_dim, onehot_dim(), rng),
-      adam_(config.learning_rate) {
-  adam_.attach(enc1_.parameters(), enc1_.gradients());
-  adam_.attach(enc2_.parameters(), enc2_.gradients());
-  adam_.attach(dec1_.parameters(), dec1_.gradients());
-  adam_.attach(dec2_.parameters(), dec2_.gradients());
-}
+      adam_(config.learning_rate) {}
 
 double Vae::step(const std::vector<double>& x, util::Rng& rng) {
   const std::size_t latent = config_.latent_dim;
@@ -116,7 +111,10 @@ double Vae::step(const std::vector<double>& x, util::Rng& rng) {
   }
   enc1_.backward(enc_act_.backward(enc2_.backward(grad_stats)));
 
-  adam_.step();
+  adam_.step({{enc1_.parameters(), enc1_.gradients()},
+              {enc2_.parameters(), enc2_.gradients()},
+              {dec1_.parameters(), dec1_.gradients()},
+              {dec2_.parameters(), dec2_.gradients()}});
   return loss;
 }
 

@@ -39,6 +39,8 @@ struct VaeConfig {
 
 /// MLP VAE: encoder 49 -> hidden -> (mu, logvar); decoder latent -> hidden
 /// -> 49 logits, trained with per-slot softmax cross-entropy + beta * KL.
+/// A copy owns its weights and optimizer state: training it leaves the
+/// original untouched.
 class Vae {
  public:
   Vae(VaeConfig config, util::Rng& rng);

@@ -214,6 +214,7 @@ baselines::Vae& shared_vae(const baselines::VaeConfig& config) {
   static std::unique_ptr<baselines::Vae> vae;
   std::lock_guard<std::mutex> lock(vae_mutex);
   if (!vae) {
+    INTOOA_SPAN("baselines.vae_train");
     util::log_info("training shared VGAE autoencoder (once per process)...");
     util::Rng rng(0xAEDC0DEULL);
     vae = std::make_unique<baselines::Vae>(config, rng);

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "baselines/fega.hpp"
 #include "baselines/nn.hpp"
@@ -21,11 +25,13 @@ using namespace intooa::baselines;
 TEST(Nn, LinearForwardMatchesManualComputation) {
   util::Rng rng(71);
   Linear layer(2, 1, rng);
-  // Overwrite parameters deterministically through the pointer interface.
-  auto params = layer.parameters();
-  *params[0] = 2.0;  // w00
-  *params[1] = -3.0; // w01
-  *params[2] = 0.5;  // b0
+  // Overwrite parameters deterministically through the flat [W | b] span.
+  const auto params = layer.parameters();
+  ASSERT_EQ(params.size(), 3u);
+  EXPECT_EQ(layer.gradients().size(), 3u);
+  params[0] = 2.0;  // w00
+  params[1] = -3.0; // w01
+  params[2] = 0.5;  // b0
   const auto y = layer.forward(std::vector<double>{1.0, 2.0});
   ASSERT_EQ(y.size(), 1u);
   EXPECT_DOUBLE_EQ(y[0], 2.0 - 6.0 + 0.5);
@@ -43,21 +49,21 @@ TEST(Nn, LinearBackwardMatchesFiniteDifference) {
   (void)y0;
 
   // Scalar loss L = grad_out . y; check dL/dparam by finite differences.
-  auto params = layer.parameters();
-  auto grads = layer.gradients();
+  const auto params = layer.parameters();
+  const auto grads = layer.gradients();
   auto loss = [&]() {
     const auto y = layer.forward(x);
     return grad_out[0] * y[0] + grad_out[1] * y[1];
   };
   const double h = 1e-6;
   for (std::size_t i = 0; i < params.size(); i += 3) {  // sample every 3rd
-    const double orig = *params[i];
-    *params[i] = orig + h;
+    const double orig = params[i];
+    params[i] = orig + h;
     const double lp = loss();
-    *params[i] = orig - h;
+    params[i] = orig - h;
     const double lm = loss();
-    *params[i] = orig;
-    EXPECT_NEAR((lp - lm) / (2 * h), *grads[i], 1e-5) << "param " << i;
+    params[i] = orig;
+    EXPECT_NEAR((lp - lm) / (2 * h), grads[i], 1e-5) << "param " << i;
   }
   // Input gradient check.
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -89,12 +95,188 @@ TEST(Nn, AdamMinimizesQuadratic) {
   // Minimize (x - 3)^2 with Adam over 500 steps.
   double x = 0.0, grad = 0.0;
   Adam adam(0.05);
-  adam.attach({&x}, {&grad});
   for (int i = 0; i < 500; ++i) {
     grad = 2.0 * (x - 3.0);
-    adam.step();
+    adam.step({{std::span<double>(&x, 1), std::span<const double>(&grad, 1)}});
   }
   EXPECT_NEAR(x, 3.0, 0.05);
+}
+
+TEST(Nn, AdamRejectsChangedBlockShapes) {
+  std::vector<double> p(3, 0.0), g(3, 1.0), g2(2, 1.0);
+  Adam adam;
+  adam.step({{p, g}});
+  EXPECT_EQ(adam.first_moment(0).size(), 3u);
+  EXPECT_THROW(adam.step({{p, g}, {p, g}}), std::invalid_argument);
+  EXPECT_THROW(adam.step({{p, g2}}), std::invalid_argument);
+}
+
+/// The pointer-gather Adam loop that nn.cpp's flat, fast-pathed Adam
+/// replaced, kept verbatim as the oracle the new one must match bit for bit.
+class ReferenceAdam {
+ public:
+  ReferenceAdam(double lr, double beta1, double beta2, double eps)
+      : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
+
+  void attach(std::vector<double*> params, std::vector<double*> grads) {
+    params_.insert(params_.end(), params.begin(), params.end());
+    grads_.insert(grads_.end(), grads.begin(), grads.end());
+    m_.resize(params_.size(), 0.0);
+    v_.resize(params_.size(), 0.0);
+  }
+
+  void step() {
+    ++t_;
+    const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+    const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+      const double g = *grads_[i];
+      m_[i] = beta1_ * m_[i] + (1.0 - beta1_) * g;
+      v_[i] = beta2_ * v_[i] + (1.0 - beta2_) * g * g;
+      const double mhat = m_[i] / bc1;
+      const double vhat = v_[i] / bc2;
+      *params_[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+    }
+  }
+
+  const std::vector<double>& m() const { return m_; }
+  const std::vector<double>& v() const { return v_; }
+
+ private:
+  double lr_, beta1_, beta2_, eps_;
+  long t_ = 0;
+  std::vector<double*> params_;
+  std::vector<double*> grads_;
+  std::vector<double> m_;
+  std::vector<double> v_;
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(Nn, AdamSubnormalFixedPoint) {
+  // 0.9 * k ulps rounds back to k ulps for k <= 5 (0.9 * 6 = 5.4 -> 5), and
+  // 3e-3 * 5 ulps rounds to zero.
+  EXPECT_EQ(adam_subnormal_fixed_point(3e-3, 0.9, 1e-8, 1.0), 5);
+  // Early bias correction divides the moment by bc1 < 1 first; still zero.
+  EXPECT_EQ(adam_subnormal_fixed_point(3e-3, 0.9, 1e-8, 0.1), 5);
+  // 0.5 * 1 ulp ties to the even zero; 0.5 * 2 ulps does not vanish.
+  EXPECT_EQ(adam_subnormal_fixed_point(0.5, 0.9, 1e-8, 1.0), 1);
+  // Any lr > 0.5 moves the parameter by at least one ulp: no fast path.
+  EXPECT_EQ(adam_subnormal_fixed_point(0.75, 0.9, 1e-8, 1.0), 0);
+  // beta1 = 0.5 halves 1 ulp to a tie that rounds to zero: no fixed point.
+  EXPECT_EQ(adam_subnormal_fixed_point(1e-3, 0.5, 1e-8, 1.0), 0);
+  // The search stops at 16 ulps.
+  EXPECT_EQ(adam_subnormal_fixed_point(1e-3, 0.999, 1e-8, 1.0), 16);
+  // A non-positive eps could flip the update's sign: no fast path.
+  EXPECT_EQ(adam_subnormal_fixed_point(3e-3, 0.9, 0.0, 1.0), 0);
+  EXPECT_EQ(adam_subnormal_fixed_point(-3e-3, 0.9, 1e-8, 1.0), 0);
+}
+
+// The fast path vs the reference loop over seeded gradient streams: dense
+// gradients, zero stretches long enough (>= 8000 steps) for first moments
+// to decay to their subnormal fixed point followed by revivals, -0.0
+// gradients, and parameters reset to +-0.0 and subnormals (where the sign
+// and size of a tiny update are visible). p, m and v must agree bit for bit
+// after every step.
+TEST(Nn, AdamMatchesReferenceBitForBit) {
+  struct Config {
+    double lr, beta1;
+  };
+  // lr = 0.75 has K = 0: the fast path must never fire.
+  const Config configs[] = {
+      {1e-3, 0.9}, {3e-3, 0.9}, {0.5, 0.9}, {0.75, 0.9}, {1e-2, 0.99}};
+  const std::size_t sizes[] = {40, 1, 55};
+  const std::size_t steps = 20000;
+  const double ulp = std::numeric_limits<double>::denorm_min();
+
+  for (const Config& config : configs) {
+    SCOPED_TRACE(testing::Message() << "lr " << config.lr << " beta1 "
+                                    << config.beta1);
+    util::Rng rng(4242);
+    std::vector<std::vector<double>> p, g;
+    for (std::size_t size : sizes) {
+      p.emplace_back(size);
+      g.emplace_back(size, 0.0);
+      for (auto& x : p.back()) x = rng.uniform(-1.0, 1.0);
+    }
+    p[0][1] = -0.0;
+    p[2][5] = 0.0;
+    auto ref_p = p;
+    auto ref_g = g;
+    Adam adam(config.lr, config.beta1, 0.999, 1e-8);
+    ReferenceAdam reference(config.lr, config.beta1, 0.999, 1e-8);
+    std::vector<std::pair<std::size_t, std::size_t>> where;  // (block, i)
+    for (std::size_t b = 0; b < p.size(); ++b) {
+      std::vector<double*> ps, gs;
+      for (std::size_t i = 0; i < p[b].size(); ++i) {
+        ps.push_back(&ref_p[b][i]);
+        gs.push_back(&ref_g[b][i]);
+        where.emplace_back(b, i);
+      }
+      reference.attach(ps, gs);
+    }
+
+    std::size_t mismatches = 0;
+    for (std::size_t t = 0; t < steps && mismatches == 0; ++t) {
+      for (std::size_t e = 0; e < where.size(); ++e) {
+        const auto [b, i] = where[e];
+        const std::size_t start = 300 + 41 * e;  // staggered zero stretches
+        double grad = 0.0;
+        switch (e % 4) {
+          case 0:  // dense
+            grad = rng.normal() * 0.1;
+            break;
+          case 1:  // +0.0 for 9000 steps, revived, then -0.0 to the end
+            grad = t < start          ? rng.normal()
+                   : t < start + 9000 ? 0.0
+                   : t < start + 9400 ? rng.normal() * 1e-3
+                                      : -0.0;
+            break;
+          case 2:  // -0.0 for 8000 steps, revived, zero again
+            grad = t < start           ? rng.normal()
+                   : t < start + 8000  ? -0.0
+                   : t < start + 8100  ? rng.normal()
+                   : t < start + 16100 ? 0.0
+                                       : rng.normal();
+            break;
+          default:  // sparse, sometimes a subnormal itself
+            grad = rng.uniform() < 0.05 ? rng.normal()
+                   : rng.uniform() < 0.01
+                       ? (rng.uniform() < 0.5 ? 3.0 : -2.0) * ulp
+                       : 0.0;
+            break;
+        }
+        g[b][i] = grad;
+        ref_g[b][i] = grad;
+        // Reset some settled parameters to signed zeros and subnormals.
+        if (t == 9500 || t == 17000) {
+          const double reset = e % 3 == 0   ? -0.0
+                               : e % 3 == 1 ? 0.0
+                                            : 2.0 * ulp;
+          p[b][i] = reset;
+          ref_p[b][i] = reset;
+        }
+      }
+      adam.step({{p[0], g[0]}, {p[1], g[1]}, {p[2], g[2]}});
+      reference.step();
+
+      for (std::size_t e = 0; e < where.size(); ++e) {
+        const auto [b, i] = where[e];
+        if (!same_bits(p[b][i], ref_p[b][i]) ||
+            !same_bits(adam.first_moment(b)[i], reference.m()[e]) ||
+            !same_bits(adam.second_moment(b)[i], reference.v()[e])) {
+          ADD_FAILURE() << "step " << t << " element " << e << ": p "
+                        << p[b][i] << " vs " << ref_p[b][i] << ", m "
+                        << adam.first_moment(b)[i] << " vs "
+                        << reference.m()[e];
+          ++mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
 }
 
 TEST(Nn, SoftmaxProperties) {
@@ -155,6 +337,59 @@ TEST(Vae, EncodeDecodeShapes) {
   EXPECT_NO_THROW(vae.decode(z));
   EXPECT_THROW(vae.decode_logits(std::vector<double>{0.0}),
                std::invalid_argument);
+}
+
+/// FNV-1a 64 over the bytes of every encode() (and, if `decoded`, every
+/// decode_logits() of that latent) for a fixed sample of 64 topologies.
+std::uint64_t vae_digest(Vae& vae, bool decoded) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const std::vector<double>& values) {
+    for (const double v : values) {
+      unsigned char bytes[sizeof v];
+      std::memcpy(bytes, &v, sizeof v);
+      for (const unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+    }
+  };
+  for (std::size_t i = 0; i < 64; ++i) {
+    const auto z = vae.encode(circuit::Topology::from_index(
+        (i * 479) % circuit::design_space_size()));
+    mix(decoded ? vae.decode_logits(z) : z);
+  }
+  return h;
+}
+
+TEST(Vae, TrainingACopyLeavesTheOriginalUntouched) {
+  // The campaign trains one VAE and hands every VGAE-BO run a copy; a copy
+  // must own its weights and optimizer, never write through to the shared
+  // instance.
+  util::Rng rng(77);
+  VaeConfig config;
+  config.epochs = 1;
+  config.train_samples = 50;
+  Vae original(config, rng);
+  original.train(rng);
+  const std::uint64_t before = vae_digest(original, false);
+
+  Vae copy = original;
+  EXPECT_EQ(vae_digest(copy, false), before);
+  copy.train(rng);
+  EXPECT_EQ(vae_digest(original, false), before);
+  EXPECT_NE(vae_digest(copy, false), before);  // the copy did train
+}
+
+TEST(Vae, TrainedWeightsMatchGolden) {
+  // Digests of the weights the original pointer-gather Adam trained for
+  // this config. 9000 steps at hidden 64 let dead ReLU units' first
+  // moments settle at their subnormal fixed point, so the fast path runs
+  // and must reproduce every bit.
+  util::Rng rng(7);
+  VaeConfig config;
+  config.epochs = 9;
+  config.train_samples = 1000;
+  Vae vae(config, rng);
+  EXPECT_EQ(vae.train(rng), 3.4292109785129474);
+  EXPECT_EQ(vae_digest(vae, false), 0x34c0de0fb8f2faecull);
+  EXPECT_EQ(vae_digest(vae, true), 0x22d83b40d56f0a5aull);
 }
 
 TEST(FeGa, EmbedDecodeRoundTrip) {
