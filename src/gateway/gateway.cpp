@@ -2,14 +2,13 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <stdexcept>
+#include <functional>
+#include <thread>
 
 #include "api/json.hpp"
 #include "obs/metrics.hpp"
@@ -84,7 +83,10 @@ ssize_t read_some(int fd, char* out, std::size_t capacity, int timeout_ms) {
 
 }  // namespace
 
-Gateway::Gateway(GatewayConfig config) : config_(std::move(config)) {
+Gateway::Gateway(GatewayConfig config)
+    : config_(std::move(config)),
+      host_("gateway", config_.listen, config_.max_connections,
+            config_.drain_linger_ms) {
   api::SessionConfig session;
   session.evaluators = config_.evaluators;
   session.scheduler = config_.scheduler;
@@ -92,21 +94,11 @@ Gateway::Gateway(GatewayConfig config) : config_(std::move(config)) {
   session_ = std::make_unique<api::Session>(std::move(session));
 }
 
-Gateway::~Gateway() {
-  begin_drain();
-  join_all_connections();
-}
+Gateway::~Gateway() = default;
 
 void Gateway::bind() {
-  if (listen_fd_.valid()) return;
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    throw std::runtime_error(std::string("gateway: pipe: ") +
-                             std::strerror(errno));
-  }
-  wake_rx_ = svc::Fd(pipe_fds[0]);
-  wake_tx_ = svc::Fd(pipe_fds[1]);
-  listen_fd_ = svc::listen_on(config_.listen);
+  if (host_.bound()) return;
+  host_.bind();
   start_ns_ = obs::detail::monotonic_ns();
   if (!config_.access_log.empty()) {
     access_log_.open(config_.access_log, std::ios::app);
@@ -127,101 +119,17 @@ void Gateway::bind() {
 
 void Gateway::run() {
   bind();
-  while (!draining()) {
-    struct pollfd fds[2];
-    fds[0] = {listen_fd_.get(), POLLIN, 0};
-    fds[1] = {wake_rx_.get(), POLLIN, 0};
-    const int got = ::poll(fds, 2, 1000);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      util::log_error(std::string("gateway: accept poll: ") +
-                      std::strerror(errno));
-      break;
-    }
-    if (got == 0) continue;
-    if (fds[1].revents != 0) {
-      begin_drain();
-      break;
-    }
-    if (fds[0].revents == 0) continue;
-    svc::Fd client(::accept(listen_fd_.get(), nullptr, nullptr));
-    if (!client.valid()) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      util::log_error(std::string("gateway: accept: ") +
-                      std::strerror(errno));
-      continue;
-    }
-    if (open_connections_.load(std::memory_order_relaxed) >=
-        config_.max_connections) {
-      // Connection-level backpressure: one 503 + Retry-After, then close.
-      HttpResponse busy = drain_response();
-      busy.body = api::error_to_json(
-                      api::Error{api::ErrorCode::Busy,
-                                 "gateway connection limit reached",
-                                 0})
-                      .dump();
-      svc::write_all(client.get(), render_response(busy, false));
-      count_response(busy.status);
-      continue;
-    }
-    reap_finished_connections();
-    std::string peer = svc::peer_name(client.get());
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
-    connections_counter().add();
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.connections;
-    }
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    const std::uint64_t id = next_connection_id_++;
-    connection_threads_.emplace(
-        id, std::thread([this, id, fd = std::move(client),
-                         peer = std::move(peer)]() mutable {
-          handle_connection(std::move(fd), std::move(peer));
-          // Announce completion so the accept loop can reap this thread;
-          // must be the handler thread's last touch of gateway state.
-          std::lock_guard<std::mutex> lock(threads_mutex_);
-          finished_ids_.push_back(id);
-        }));
-  }
-
+  svc::ConnectionHost::Hooks hooks;
+  hooks.serve = std::bind_front(&Gateway::handle_connection, this);
+  hooks.refuse = std::bind_front(&Gateway::refuse_connection, this);
   // Drain linger: a stopped listener looks like an outage to an HTTP
-  // client; keep accepting for a bounded window and answer 503 with
-  // Retry-After so callers observe the drain and back off.
-  if (config_.drain_linger_ms > 0) {
-    const std::uint64_t deadline =
-        obs::detail::monotonic_ns() +
-        static_cast<std::uint64_t>(config_.drain_linger_ms) * 1'000'000;
-    for (;;) {
-      const std::int64_t left_ns =
-          static_cast<std::int64_t>(deadline - obs::detail::monotonic_ns());
-      if (left_ns <= 0) break;
-      struct pollfd p{listen_fd_.get(), POLLIN, 0};
-      const int got = ::poll(
-          &p, 1,
-          static_cast<int>(std::min<std::int64_t>(
-              (left_ns + 999'999) / 1'000'000, 1000)));
-      if (got < 0 && errno != EINTR) break;
-      if (got <= 0 || p.revents == 0) continue;
-      svc::Fd client(::accept(listen_fd_.get(), nullptr, nullptr));
-      if (!client.valid()) continue;
-      reap_finished_connections();
-      std::lock_guard<std::mutex> lock(threads_mutex_);
-      const std::uint64_t id = next_connection_id_++;
-      connection_threads_.emplace(
-          id, std::thread([this, id, fd = std::move(client)]() mutable {
-            handle_drain_connection(std::move(fd));
-            std::lock_guard<std::mutex> lock(threads_mutex_);
-            finished_ids_.push_back(id);
-          }));
-    }
-  }
-
-  join_all_connections();
+  // client, so the host keeps accepting for a bounded window and each
+  // connection is answered 503 with Retry-After.
+  hooks.linger = [this](svc::Fd fd, std::string) {
+    handle_drain_connection(std::move(fd));
+  };
+  host_.run(hooks);
   session_->close();
-  if (config_.listen.kind == svc::Address::Kind::Unix) {
-    ::unlink(config_.listen.path.c_str());
-  }
   const GatewayStats final = stats();
   util::log_info("intooa-gateway drained",
                  {{"requests", final.requests},
@@ -232,54 +140,25 @@ void Gateway::run() {
                   {"timeouts", final.timeouts}});
 }
 
-void Gateway::begin_drain() {
-  if (draining_.exchange(true, std::memory_order_acq_rel)) return;
-  if (wake_tx_.valid()) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t ignored = ::write(wake_tx_.get(), &byte, 1);
-  }
-}
+void Gateway::begin_drain() { host_.begin_drain(); }
 
 GatewayStats Gateway::stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return stats_;
 }
 
-std::size_t Gateway::connection_thread_count() const {
-  std::lock_guard<std::mutex> lock(threads_mutex_);
-  return connection_threads_.size();
-}
-
-void Gateway::join_all_connections() {
-  // Move the threads out before joining: a finishing handler takes
-  // threads_mutex_ to announce its id, so joining under the lock would
-  // deadlock against it.
-  std::map<std::uint64_t, std::thread> drained;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    drained.swap(connection_threads_);
-    finished_ids_.clear();
+void Gateway::refuse_connection(int fd) {
+  // Connection-level backpressure: one 503 + Retry-After, then close. In
+  // the drain linger the body says why: the gateway is draining.
+  HttpResponse response = drain_response();
+  if (!draining()) {
+    response.body = api::error_to_json(
+                        api::Error{api::ErrorCode::Busy,
+                                   "gateway connection limit reached", 0})
+                        .dump();
   }
-  for (auto& [id, thread] : drained) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
-void Gateway::reap_finished_connections() {
-  std::vector<std::thread> reaped;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (const std::uint64_t id : finished_ids_) {
-      const auto it = connection_threads_.find(id);
-      if (it == connection_threads_.end()) continue;
-      reaped.push_back(std::move(it->second));
-      connection_threads_.erase(it);
-    }
-    finished_ids_.clear();
-  }
-  for (auto& thread : reaped) {
-    if (thread.joinable()) thread.join();
-  }
+  svc::write_all(fd, render_response(response, false));
+  count_response(response.status);
 }
 
 void Gateway::count_response(int status) {
@@ -341,6 +220,11 @@ HttpResponse Gateway::error_response(const api::Error& error) const {
 }
 
 void Gateway::handle_connection(svc::Fd fd, std::string peer) {
+  connections_counter().add();
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.connections;
+  }
   HttpParser parser({config_.max_head_bytes, config_.max_body_bytes});
   char buffer[8192];
   int idle_ms = 0;
@@ -435,14 +319,13 @@ void Gateway::handle_connection(svc::Fd fd, std::string peer) {
     if (got <= 0) break;  // orderly EOF or I/O error
     parser.feed(std::string_view(buffer, static_cast<std::size_t>(got)));
   }
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Gateway::handle_drain_connection(svc::Fd fd) {
   // Linger-phase connection: parse one request only to frame the answer,
   // reply 503 + Retry-After with Connection: close, and hang up. One
   // answer per connection and a wall-clock deadline (not idle-slice
-  // accounting) guarantee run()'s join_all_connections() is bounded by
+  // accounting) guarantee the host's final join in run() is bounded by
   // drain_linger_ms no matter how chattily a peer keeps sending.
   HttpParser parser({config_.max_head_bytes, config_.max_body_bytes});
   char buffer[4096];

@@ -2,10 +2,10 @@
 // intooa-gateway's engine: a dependency-free HTTP/1.1 front end over the
 // api::Session facade, so dashboards and non-C++ clients drive evaluations
 // and campaign jobs with plain curl instead of linking the binary-protocol
-// clients. One connection-handler thread per client (the svc::Server
-// model, with sched::JobService's announce-and-reap thread hygiene),
-// bounded admission (connections past max_connections are answered 503 and
-// closed), keep-alive with pipelining, and two timeouts: idle_timeout_ms
+// clients. Connections are hosted by svc::ConnectionHost (one handler
+// thread per client, announce-and-reap, bounded admission: connections
+// past max_connections are answered 503 and closed on the acceptor
+// thread), with keep-alive, pipelining and two timeouts: idle_timeout_ms
 // between requests and request_grace_ms to finish a request that started
 // arriving (the slowloris bound — a trickling peer gets 408, not a thread
 // forever).
@@ -29,24 +29,22 @@
 // spelling) stops admitting work; in-flight handlers finish their current
 // request, further requests are answered 503 with Retry-After, and — so
 // that plain HTTP clients can observe the drain instead of a vanished
-// listener — the acceptor keeps accepting for drain_linger_ms, answering
-// one 503 + Retry-After per connection (Connection: close, so no peer can
-// pin a handler past the linger deadline) before run() returns.
+// listener — the host keeps accepting for drain_linger_ms, under the same
+// max_connections bound, answering one 503 + Retry-After per connection
+// (Connection: close, so no peer can pin a handler past the linger
+// deadline) before run() returns.
 
-#include <atomic>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/session.hpp"
 #include "gateway/http.hpp"
-#include "svc/socket.hpp"
+#include "svc/connection_host.hpp"
 
 namespace intooa::gateway {
 
@@ -114,15 +112,17 @@ class Gateway {
   void begin_drain();
 
   /// Write end of the accept loop's self-pipe (async-signal-safe wake).
-  int wake_fd() const { return wake_tx_.get(); }
+  int wake_fd() const { return host_.wake_fd(); }
 
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
+  bool draining() const { return host_.draining(); }
 
   GatewayStats stats() const;
 
-  /// Connection-handler threads currently tracked (live + unreaped);
-  /// bounded like svc::Server's.
-  std::size_t connection_thread_count() const;
+  /// Connection-handler threads tracked by the host (live plus finished
+  /// but not yet reaped), in both the serving and the linger phase.
+  std::size_t connection_thread_count() const {
+    return host_.connection_thread_count();
+  }
 
   /// Routes one parsed request to a response — the pure routing core,
   /// public so tests drive it without sockets. Thread-safe.
@@ -136,6 +136,8 @@ class Gateway {
   /// wall-clock linger deadline (drain-linger connections).
   void handle_drain_connection(svc::Fd fd);
   HttpResponse drain_response() const;
+  /// Answers a connection past max_connections (acceptor thread).
+  void refuse_connection(int fd);
   HttpResponse error_response(const api::Error& error) const;
   static HttpResponse method_not_allowed(const std::string& allow);
 
@@ -146,17 +148,11 @@ class Gateway {
   HttpResponse route_jobs(const HttpRequest& request);
   HttpResponse route_job(const HttpRequest& request, std::uint64_t job_id);
 
-  void reap_finished_connections();
-  void join_all_connections();
   void count_response(int status);
   void write_access_log(const std::string& peer, const HttpRequest& request,
                         int status, std::uint64_t duration_ns);
 
   GatewayConfig config_;
-  svc::Fd listen_fd_;
-  svc::Fd wake_rx_, wake_tx_;
-  std::atomic<bool> draining_{false};
-  std::atomic<std::size_t> open_connections_{0};
   std::uint64_t start_ns_ = 0;
 
   std::unique_ptr<api::Session> session_;
@@ -167,13 +163,12 @@ class Gateway {
   std::mutex access_log_mutex_;
   std::ofstream access_log_;
 
-  mutable std::mutex threads_mutex_;
-  std::map<std::uint64_t, std::thread> connection_threads_;
-  std::vector<std::uint64_t> finished_ids_;
-  std::uint64_t next_connection_id_ = 1;
-
   mutable std::mutex stats_mutex_;
   GatewayStats stats_;
+
+  /// Declared last so it is destroyed first: its destructor joins any
+  /// handler thread still using the members above.
+  svc::ConnectionHost host_;
 };
 
 }  // namespace intooa::gateway

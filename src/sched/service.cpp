@@ -1,11 +1,6 @@
 #include "sched/service.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
+#include <functional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -38,57 +33,13 @@ obs::Counter& errors_counter() {
 }  // namespace
 
 JobService::JobService(ServiceConfig config, Scheduler& scheduler)
-    : config_(std::move(config)), scheduler_(scheduler) {}
-
-JobService::~JobService() {
-  begin_drain();
-  join_all_connections();
-}
-
-void JobService::join_all_connections() {
-  // Move the threads out before joining: a finishing handler takes
-  // threads_mutex_ to announce its id, so joining under the lock would
-  // deadlock against it.
-  std::map<std::uint64_t, std::thread> drained;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    drained.swap(connection_threads_);
-    finished_ids_.clear();
-  }
-  for (auto& [id, thread] : drained) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
-void JobService::reap_finished_connections() {
-  std::vector<std::thread> reaped;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (const std::uint64_t id : finished_ids_) {
-      const auto it = connection_threads_.find(id);
-      if (it == connection_threads_.end()) continue;
-      reaped.push_back(std::move(it->second));
-      connection_threads_.erase(it);
-    }
-    finished_ids_.clear();
-  }
-  // An announced thread has nothing left to do but unwind: these joins
-  // return promptly. Outside the lock all the same.
-  for (auto& thread : reaped) {
-    if (thread.joinable()) thread.join();
-  }
-}
+    : config_(std::move(config)),
+      scheduler_(scheduler),
+      host_("sched", config_.address, config_.max_connections) {}
 
 void JobService::bind() {
-  if (listen_fd_.valid()) return;
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    throw std::runtime_error(std::string("sched: pipe: ") +
-                             std::strerror(errno));
-  }
-  wake_rx_ = svc::Fd(pipe_fds[0]);
-  wake_tx_ = svc::Fd(pipe_fds[1]);
-  listen_fd_ = svc::listen_on(config_.address);
+  if (host_.bound()) return;
+  host_.bind();
   util::log_info("intooa-schedd listening on " + config_.address.to_string(),
                  {{"workers", scheduler_.config().workers},
                   {"max_queued_jobs", scheduler_.config().max_queued_jobs},
@@ -99,67 +50,18 @@ void JobService::bind() {
 
 void JobService::run() {
   bind();
-  while (!draining()) {
-    struct pollfd fds[2];
-    fds[0] = {listen_fd_.get(), POLLIN, 0};
-    fds[1] = {wake_rx_.get(), POLLIN, 0};
-    const int got = ::poll(fds, 2, 1000);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      util::log_error(std::string("sched: accept poll: ") +
-                      std::strerror(errno));
-      break;
-    }
-    if (got == 0) continue;
-    if (fds[1].revents != 0) {
-      begin_drain();
-      break;
-    }
-    if (fds[0].revents == 0) continue;
-    svc::Fd client(::accept(listen_fd_.get(), nullptr, nullptr));
-    if (!client.valid()) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      util::log_error(std::string("sched: accept: ") + std::strerror(errno));
-      continue;
-    }
-    if (open_connections_.load(std::memory_order_relaxed) >=
-        config_.max_connections) {
-      // Connection-level backpressure, same shape as svc::Server.
-      const std::string frame = svc::encode_frame(
-          svc::MsgType::Busy, svc::encode_busy({0, 250}));
-      svc::write_all(client.get(), frame);
-      continue;
-    }
-    reap_finished_connections();
-    std::string peer = svc::peer_name(client.get());
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
-    connections_counter().add();
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    const std::uint64_t id = next_connection_id_++;
-    connection_threads_.emplace(
-        id, std::thread([this, id, fd = std::move(client),
-                         peer = std::move(peer)]() mutable {
-          handle_connection(std::move(fd), std::move(peer));
-          // Announce completion so the accept loop can reap this thread;
-          // must be the handler thread's last touch of service state.
-          std::lock_guard<std::mutex> lock(threads_mutex_);
-          finished_ids_.push_back(id);
-        }));
-  }
-  join_all_connections();
-  if (config_.address.kind == svc::Address::Kind::Unix) {
-    ::unlink(config_.address.path.c_str());
-  }
+  svc::ConnectionHost::Hooks hooks;
+  hooks.serve = std::bind_front(&JobService::handle_connection, this);
+  hooks.refuse = [](int fd) {
+    // Connection-level backpressure, same shape as svc::Server.
+    svc::write_all(fd, svc::encode_frame(svc::MsgType::Busy,
+                                         svc::encode_busy({0, 250})));
+  };
+  host_.run(hooks);
   util::log_info("intooa-schedd listener drained");
 }
 
-void JobService::begin_drain() {
-  if (draining_.exchange(true, std::memory_order_acq_rel)) return;
-  if (wake_tx_.valid()) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t ignored = ::write(wake_tx_.get(), &byte, 1);
-  }
-}
+void JobService::begin_drain() { host_.begin_drain(); }
 
 bool JobService::send_frame(int fd, svc::MsgType type,
                             std::string_view payload) {
@@ -176,45 +78,11 @@ void JobService::send_error(int fd, std::uint64_t request_id,
 }
 
 void JobService::handle_connection(svc::Fd fd, std::string peer) {
+  connections_counter().add();
+  const bool ok = svc::serve_hello(fd.get(), peer, host_,
+                                   config_.idle_timeout_ms,
+                                   [] { errors_counter().add(); });
   svc::Frame frame;
-  svc::ReadStatus hello_status = svc::ReadStatus::Timeout;
-  for (int waited = 0; !draining(); waited += kPollSliceMs) {
-    if (config_.idle_timeout_ms >= 0 && waited >= config_.idle_timeout_ms) {
-      break;
-    }
-    hello_status = svc::read_frame(fd.get(), frame, kPollSliceMs);
-    if (hello_status != svc::ReadStatus::Timeout) break;
-  }
-  bool ok = false;
-  if (hello_status == svc::ReadStatus::Ok &&
-      frame.type == svc::MsgType::Hello) {
-    if (const auto hello = svc::decode_hello(frame.payload)) {
-      if (hello->version == svc::kProtocolVersion) {
-        ok = send_frame(fd.get(), svc::MsgType::HelloOk,
-                        hello->minor >= 1
-                            ? svc::encode_hello_ok(svc::kProtocolVersion,
-                                                   svc::kProtocolMinorVersion)
-                            : svc::encode_hello_ok());
-        if (ok) {
-          util::log_info("sched: handshake",
-                         {{"peer", peer},
-                          {"client_minor", hello->minor},
-                          {"build", util::version_string()}});
-        }
-      } else {
-        send_error(fd.get(), 0, svc::ErrorCode::VersionMismatch,
-                   "schedd speaks protocol version " +
-                       std::to_string(svc::kProtocolVersion) +
-                       ", client sent " + std::to_string(hello->version));
-      }
-    } else {
-      send_error(fd.get(), 0, svc::ErrorCode::VersionMismatch,
-                 "malformed Hello (bad magic)");
-    }
-  } else if (hello_status == svc::ReadStatus::Ok) {
-    send_error(fd.get(), 0, svc::ErrorCode::BadFrame, "expected Hello");
-  }
-
   int idle_ms = 0;
   while (ok) {
     const svc::ReadStatus status =
@@ -241,7 +109,6 @@ void JobService::handle_connection(svc::Fd fd, std::string peer) {
     idle_ms = 0;
     if (!dispatch(fd.get(), frame)) break;
   }
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 bool JobService::dispatch(int fd, const svc::Frame& frame) {

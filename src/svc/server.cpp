@@ -1,12 +1,7 @@
 #include "svc/server.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -151,7 +146,9 @@ struct Server::Shard {
   std::unordered_set<std::uint64_t> in_progress;
 };
 
-Server::Server(ServerConfig config) : config_(std::move(config)) {
+Server::Server(ServerConfig config)
+    : config_(std::move(config)),
+      host_("svc", config_.address, config_.max_connections) {
   if (config_.threads == 0) {
     config_.threads = std::max<std::size_t>(
         1, std::thread::hardware_concurrency());
@@ -163,62 +160,11 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   }
 }
 
-Server::~Server() {
-  // A destroyed server must not leave threads running; run() normally joins
-  // them, but guard against a caller that never ran.
-  begin_drain();
-  join_all_connections();
-}
-
-void Server::join_all_connections() {
-  // Move the threads out before joining: a finishing handler takes
-  // threads_mutex_ to announce its id, so joining under the lock would
-  // deadlock against it.
-  std::map<std::uint64_t, std::thread> drained;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    drained.swap(connection_threads_);
-    finished_ids_.clear();
-  }
-  for (auto& [id, thread] : drained) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
-void Server::reap_finished_connections() {
-  std::vector<std::thread> reaped;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    for (const std::uint64_t id : finished_ids_) {
-      const auto it = connection_threads_.find(id);
-      if (it == connection_threads_.end()) continue;
-      reaped.push_back(std::move(it->second));
-      connection_threads_.erase(it);
-    }
-    finished_ids_.clear();
-  }
-  // An announced thread has nothing left to do but unwind: these joins
-  // return promptly. Outside the lock all the same.
-  for (auto& thread : reaped) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
-std::size_t Server::connection_thread_count() const {
-  std::lock_guard<std::mutex> lock(threads_mutex_);
-  return connection_threads_.size();
-}
+Server::~Server() = default;
 
 void Server::bind() {
-  if (listen_fd_.valid()) return;
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    throw std::runtime_error(std::string("svc: pipe: ") +
-                             std::strerror(errno));
-  }
-  wake_rx_ = Fd(pipe_fds[0]);
-  wake_tx_ = Fd(pipe_fds[1]);
-  listen_fd_ = listen_on(config_.address);
+  if (host_.bound()) return;
+  host_.bind();
   pool_ = std::make_unique<runtime::ThreadPool>(config_.threads);
   start_ns_ = obs::detail::monotonic_ns();
   if (!config_.access_log.empty()) {
@@ -243,97 +189,25 @@ void Server::run() {
     stats_thread_ = std::thread([this] { stats_file_loop(); });
   }
   update_loop_gauges();
-  while (!draining()) {
-    struct pollfd fds[2];
-    fds[0] = {listen_fd_.get(), POLLIN, 0};
-    fds[1] = {wake_rx_.get(), POLLIN, 0};
-    // A ~1 s tick (instead of blocking forever) keeps the liveness gauges
-    // fresh between requests, so a stats snapshot of an idle server still
-    // shows true uptime/inflight/connections.
-    const int got = ::poll(fds, 2, 1000);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      util::log_error(std::string("svc: accept poll: ") +
-                      std::strerror(errno));
-      break;
-    }
-    update_loop_gauges();
-    if (got == 0) continue;
-    if (fds[1].revents != 0) {
-      // Classify the wake bytes: 2 = flight-recorder dump (SIGUSR1, keep
-      // serving), anything else = drain.
-      char bytes[16];
-      const ssize_t n = ::read(wake_rx_.get(), bytes, sizeof bytes);
-      bool drain = n <= 0;
-      for (ssize_t i = 0; i < n; ++i) {
-        if (bytes[i] == 2) {
-          dump_flight_recorder();
-        } else {
-          drain = true;
-        }
-      }
-      if (drain) {
-        begin_drain();
-        break;
-      }
-    }
-    if (fds[0].revents == 0) continue;
-    Fd client(::accept(listen_fd_.get(), nullptr, nullptr));
-    if (!client.valid()) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      util::log_error(std::string("svc: accept: ") + std::strerror(errno));
-      continue;
-    }
-    if (open_connections_.load(std::memory_order_relaxed) >=
-        config_.max_connections) {
-      // Connection-level backpressure: a Busy frame with id 0, then close.
-      const std::string frame = encode_frame(
-          MsgType::Busy, encode_busy({0, config_.busy_retry_ms}));
-      write_all(client.get(), frame);
-      busy_counter().add();
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.busy_rejections;
-      }
-      continue;
-    }
-    reap_finished_connections();
-    auto conn = std::make_shared<Connection>();
-    conn->peer = peer_name(client.get());
-    conn->fd = std::move(client);
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
-    connections_gauge().set(
-        static_cast<double>(open_connections_.load()));
-    connections_counter().add();
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.connections;
-    }
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    const std::uint64_t id = next_connection_id_++;
-    connection_threads_.emplace(
-        id, std::thread([this, id, conn = std::move(conn)]() mutable {
-          handle_connection(std::move(conn));
-          // Announce completion so the accept loop can reap this thread;
-          // must be the handler thread's last touch of server state.
-          std::lock_guard<std::mutex> lock(threads_mutex_);
-          finished_ids_.push_back(id);
-        }));
-  }
-
-  // Drain: every admitted evaluation finishes and flushes its response.
-  {
-    std::unique_lock<std::mutex> lock(inflight_mutex_);
-    inflight_cv_.wait(lock, [this] { return inflight_.load() == 0; });
-  }
-  join_all_connections();
+  ConnectionHost::Hooks hooks;
+  hooks.serve = std::bind_front(&Server::handle_connection, this);
+  hooks.refuse = [this](int fd) {
+    // Connection-level backpressure: a Busy frame with id 0, then close.
+    count_busy();
+    write_all(fd, encode_frame(MsgType::Busy,
+                               encode_busy({0, config_.busy_retry_ms})));
+  };
+  hooks.tick = [this] { update_loop_gauges(); };
+  hooks.dump = [this] { dump_flight_recorder(); };
+  // Returns once every connection handler is joined, and each handler
+  // first waits out its admitted evaluations: every response is flushed.
+  host_.run(hooks);
+  begin_drain();  // wakes the stats-file writer if a signal drained us
   pool_.reset();  // queue is empty; joins the workers
+  update_loop_gauges();
   if (stats_thread_.joinable()) stats_thread_.join();
   if (!config_.stats_file.empty()) {
     write_stats_file();  // final snapshot: the fully drained counters
-  }
-  if (config_.address.kind == Address::Kind::Unix) {
-    ::unlink(config_.address.path.c_str());
   }
   dump_flight_recorder();
   const ServerStats final = stats();
@@ -348,14 +222,7 @@ void Server::run() {
 }
 
 void Server::begin_drain() {
-  if (draining_.exchange(true, std::memory_order_acq_rel)) return;
-  // Wake the acceptor (idempotent; harmless when called from run() itself).
-  if (wake_tx_.valid()) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t ignored = ::write(wake_tx_.get(), &byte, 1);
-  }
-  // Wake any run() blocked on inflight (in case nothing is in flight).
-  inflight_cv_.notify_all();
+  host_.begin_drain();
   // Wake the stats-file writer so the drain is not delayed by its interval.
   { std::lock_guard<std::mutex> lock(stats_cv_mutex_); }
   stats_cv_.notify_all();
@@ -378,68 +245,40 @@ bool Server::send_frame(const std::shared_ptr<Connection>& conn, MsgType type,
   return true;
 }
 
+void Server::count_error() {
+  errors_counter().add();
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++stats_.errors;
+}
+
+void Server::count_busy() {
+  busy_counter().add();
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++stats_.busy_rejections;
+}
+
 void Server::send_error(const std::shared_ptr<Connection>& conn,
                         std::uint64_t request_id, ErrorCode code,
                         const std::string& message) {
-  errors_counter().add();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.errors;
-  }
+  count_error();
   send_frame(conn, MsgType::Error,
              encode_error({request_id, code, message}));
 }
 
-void Server::handle_connection(std::shared_ptr<Connection> conn) {
-  // Handshake: the first frame must be a Hello with our magic and version.
-  // Waited for in poll slices so a silent client never delays a drain.
-  Frame frame;
-  ReadStatus hello_status = ReadStatus::Timeout;
-  for (int waited = 0; !draining(); waited += kPollSliceMs) {
-    if (config_.idle_timeout_ms >= 0 && waited >= config_.idle_timeout_ms) {
-      break;
-    }
-    hello_status = read_frame(conn->fd.get(), frame, kPollSliceMs);
-    if (hello_status != ReadStatus::Timeout) break;
+void Server::handle_connection(Fd fd, std::string peer) {
+  connections_counter().add();
+  connections_gauge().set(static_cast<double>(host_.open_connections()));
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.connections;
   }
-  bool ok = false;
-  if (hello_status == ReadStatus::Ok && frame.type == MsgType::Hello) {
-    if (const auto hello = decode_hello(frame.payload)) {
-      if (hello->version == kProtocolVersion) {
-        // Echo our minor revision only to clients that announced one:
-        // version-1.0 clients reject a HelloOk with trailing bytes.
-        ok = send_frame(conn, MsgType::HelloOk,
-                        hello->minor >= 1
-                            ? encode_hello_ok(kProtocolVersion,
-                                              kProtocolMinorVersion)
-                            : encode_hello_ok());
-        if (ok) {
-          // Both ends log their build stamp on Hello, so a mixed-version
-          // client/server pair is visible from either side's log alone.
-          util::log_info("svc: handshake",
-                         {{"peer", conn->peer},
-                          {"client_minor", hello->minor},
-                          {"build", util::version_string()}});
-        }
-      } else {
-        send_error(conn, 0, ErrorCode::VersionMismatch,
-                   "server speaks protocol version " +
-                       std::to_string(kProtocolVersion) + ", client sent " +
-                       std::to_string(hello->version));
-      }
-    } else {
-      send_error(conn, 0, ErrorCode::VersionMismatch,
-                 "malformed Hello (bad magic)");
-    }
-  } else if (hello_status == ReadStatus::Oversized) {
-    send_error(conn, 0, ErrorCode::OversizedFrame,
-               "frame exceeds " + std::to_string(kMaxFrame) + " bytes");
-  } else if (hello_status == ReadStatus::BadType) {
-    send_error(conn, 0, ErrorCode::BadFrame, "unknown message type");
-  } else if (hello_status == ReadStatus::Ok) {
-    send_error(conn, 0, ErrorCode::BadFrame, "expected Hello");
-  }
+  const bool ok = serve_hello(fd.get(), peer, host_, config_.idle_timeout_ms,
+                              [this] { count_error(); });
+  auto conn = std::make_shared<Connection>();
+  conn->fd = std::move(fd);
+  conn->peer = std::move(peer);
 
+  Frame frame;
   int idle_ms = 0;
   bool drain_exit = false;
   while (ok && !conn->broken.load(std::memory_order_relaxed)) {
@@ -491,8 +330,6 @@ void Server::handle_connection(std::shared_ptr<Connection> conn) {
       if (!dispatch(conn, frame)) break;
     }
   }
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
-  connections_gauge().set(static_cast<double>(open_connections_.load()));
 }
 
 void Server::finish_pending(const std::shared_ptr<Connection>& conn) {
@@ -561,11 +398,7 @@ bool Server::dispatch(const std::shared_ptr<Connection>& conn,
       std::size_t current = inflight_.load(std::memory_order_relaxed);
       do {
         if (current >= config_.max_inflight) {
-          busy_counter().add();
-          {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.busy_rejections;
-          }
+          count_busy();
           send_frame(conn, MsgType::Busy,
                      encode_busy({request->request_id,
                                   config_.busy_retry_ms}));
@@ -670,8 +503,8 @@ void Server::process_request(std::shared_ptr<Connection> conn,
   }
   record_flight();  // error paths record too (with ok still false)
 
-  // Release the in-flight slot and this connection's pending count; both
-  // the drain loop and the connection closer may be waiting on them.
+  // Release the in-flight slot and this connection's pending count; the
+  // connection closer may be waiting on the latter.
   {
     std::lock_guard<std::mutex> lock(conn->pending_mutex);
     --conn->pending;
@@ -680,13 +513,6 @@ void Server::process_request(std::shared_ptr<Connection> conn,
   const std::size_t now =
       inflight_.fetch_sub(1, std::memory_order_acq_rel) - 1;
   inflight_gauge().set(static_cast<double>(now));
-  if (now == 0) {
-    // Pairing the notify with the waiter's mutex closes the window where
-    // run() checks the predicate, we decrement-and-notify, and run() then
-    // sleeps forever.
-    { std::lock_guard<std::mutex> lock(inflight_mutex_); }
-    inflight_cv_.notify_all();
-  }
 }
 
 Server::Shard& Server::shard_for(const EvalRequest& request) {
@@ -799,7 +625,7 @@ void Server::update_loop_gauges() {
   uptime_gauge().set(
       static_cast<double>(obs::detail::monotonic_ns() - start_ns_) / 1e9);
   inflight_gauge().set(static_cast<double>(inflight_.load()));
-  connections_gauge().set(static_cast<double>(open_connections_.load()));
+  connections_gauge().set(static_cast<double>(host_.open_connections()));
 }
 
 std::string Server::stats_json_text(bool include_flight) const {

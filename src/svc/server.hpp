@@ -8,19 +8,19 @@
 // queued or running, further requests get an immediate Busy reply
 // (explicit backpressure) instead of unbounded buffering.
 //
-// Threading model: one connection-handler thread per client (blocking
-// frame reads with poll timeouts), evaluation tasks on the shared pool,
-// responses written back under a per-connection mutex (responses to one
-// connection may interleave across requests but never across frames).
-// Responses are keyed by the client's request id and may arrive out of
-// order.
+// Threading model: connections are hosted by svc::ConnectionHost (one
+// handler thread per client, bounded admission with a connection-level
+// Busy reply, announce-and-reap); the handler reads frames in poll slices,
+// evaluation tasks run on the shared pool, and responses are written back
+// under a per-connection mutex (responses to one connection may interleave
+// across requests but never across frames). Responses are keyed by the
+// client's request id and may arrive out of order.
 //
-// Shutdown: begin_drain() — or a byte written to wake_fd(), which is the
-// async-signal-safe spelling used by intooa-served's SIGTERM/SIGINT
-// handler — stops the acceptor, refuses new requests with Error(draining),
-// finishes every admitted evaluation, flushes its response, and returns
-// from run(). Store appends are fsync'd per record (store::EvalStore), so
-// a drained server leaves a durable store behind.
+// Shutdown: begin_drain() — or a byte written to wake_fd() — stops the
+// acceptor, refuses new requests with Error(draining), finishes every
+// admitted evaluation, flushes its response, and returns from run(). Store
+// appends are fsync'd per record (store::EvalStore), so a drained server
+// leaves a durable store behind.
 //
 // Determinism: the service adds no randomness. Sizing draws from an RNG
 // seeded by the evaluation key digest (the same discipline as
@@ -32,7 +32,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -42,6 +41,7 @@
 
 #include "runtime/thread_pool.hpp"
 #include "store/store.hpp"
+#include "svc/connection_host.hpp"
 #include "svc/flight_recorder.hpp"
 #include "svc/protocol.hpp"
 #include "svc/socket.hpp"
@@ -114,22 +114,22 @@ class Server {
   /// wake_fd() instead.
   void begin_drain();
 
-  /// Write end of the self-pipe the accept loop watches; write() to it is
-  /// async-signal-safe. Byte value 2 dumps the flight recorder to the log
-  /// and keeps serving (SIGUSR1); any other byte triggers begin_drain()
-  /// (SIGTERM/SIGINT). Valid after bind().
-  int wake_fd() const { return wake_tx_.get(); }
+  /// Write end of the accept loop's self-pipe (async-signal-safe). Byte
+  /// svc::kWakeDump dumps the flight recorder to the log and keeps serving
+  /// (SIGUSR1); any other byte starts a drain (SIGTERM/SIGINT). Valid
+  /// after bind().
+  int wake_fd() const { return host_.wake_fd(); }
 
   /// True once begin_drain() (or a wake-pipe byte) has been observed.
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
+  bool draining() const { return host_.draining(); }
 
   ServerStats stats() const;
 
-  /// Connection-handler threads currently tracked (live handlers plus any
-  /// finished-but-not-yet-reaped). Bounded by max_connections + the reap
-  /// backlog of one accept-loop iteration; the regression test asserts it
-  /// stays small across many short-lived connections.
-  std::size_t connection_thread_count() const;
+  /// Connection-handler threads tracked by the host (live plus finished
+  /// but not yet reaped).
+  std::size_t connection_thread_count() const {
+    return host_.connection_thread_count();
+  }
 
   /// The StatsResponse document: uptime, metrics snapshot, per-histogram
   /// p50/p90/p99 and (optionally) the flight-recorder contents, as compact
@@ -156,7 +156,7 @@ class Server {
   /// in-progress dedup).
   struct Shard;
 
-  void handle_connection(std::shared_ptr<Connection> conn);
+  void handle_connection(Fd fd, std::string peer);
   /// Dispatches one decoded frame; returns false when the connection must
   /// close (protocol violation).
   bool dispatch(const std::shared_ptr<Connection>& conn, const Frame& frame);
@@ -175,6 +175,10 @@ class Server {
   void send_error(const std::shared_ptr<Connection>& conn,
                   std::uint64_t request_id, ErrorCode code,
                   const std::string& message);
+  /// Count one Error reply (svc.errors, ServerStats::errors) and one Busy
+  /// reply (svc.busy_rejections, ServerStats::busy_rejections).
+  void count_error();
+  void count_busy();
 
   void finish_pending(const std::shared_ptr<Connection>& conn);
 
@@ -193,14 +197,8 @@ class Server {
   void stats_file_loop();
 
   ServerConfig config_;
-  Fd listen_fd_;
-  Fd wake_rx_, wake_tx_;
   std::unique_ptr<runtime::ThreadPool> pool_;
-  std::atomic<bool> draining_{false};
   std::atomic<std::size_t> inflight_{0};
-  std::atomic<std::size_t> open_connections_{0};
-  std::mutex inflight_mutex_;
-  std::condition_variable inflight_cv_;
 
   std::uint64_t start_ns_ = 0;  ///< bind() time, for svc.uptime_seconds
   std::unique_ptr<FlightRecorder> flight_;  ///< null when capacity == 0
@@ -213,22 +211,12 @@ class Server {
   std::mutex shards_mutex_;
   std::unordered_map<std::string, std::unique_ptr<Shard>> shards_;
 
-  /// Joins connection threads whose handlers announced completion (same
-  /// scheme as sched::JobService: a handler's last act is to push its id
-  /// onto finished_ids_). Called on every accept so a long-lived daemon
-  /// stays bounded instead of accumulating one unjoined thread per
-  /// connection until drain.
-  void reap_finished_connections();
-  /// Joins every remaining connection thread (drain and destructor).
-  void join_all_connections();
-
-  mutable std::mutex threads_mutex_;
-  std::map<std::uint64_t, std::thread> connection_threads_;
-  std::vector<std::uint64_t> finished_ids_;
-  std::uint64_t next_connection_id_ = 1;
-
   mutable std::mutex stats_mutex_;
   ServerStats stats_;
+
+  /// Declared last so it is destroyed first: its destructor joins any
+  /// handler thread still using the members above.
+  ConnectionHost host_;
 };
 
 }  // namespace intooa::svc

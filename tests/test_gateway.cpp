@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -664,6 +666,48 @@ TEST(GatewayEndToEnd, ConnectionThreadsAreReaped) {
   last.read_reply();
   EXPECT_EQ(gw.gw.stats().connections, 21u);
   EXPECT_LE(gw.gw.connection_thread_count(), 8u);
+}
+
+TEST(GatewayEndToEnd, DrainLingerAdmissionIsBounded) {
+  // Regression: the drain linger used to spawn a handler thread for every
+  // connection it accepted, with no max_connections check. The cap now
+  // holds in the linger too: connections past it get an immediate 503 on
+  // the acceptor thread and never cost a thread.
+  gateway::GatewayConfig config;
+  config.listen = gateway_tcp_address();
+  config.max_connections = 2;
+  config.drain_linger_ms = 1500;
+  gateway::Gateway gw(std::move(config));
+  gw.bind();
+  std::thread thread([&] { gw.run(); });
+  gw.begin_drain();
+
+  constexpr std::size_t kConnections = 40;
+  constexpr std::size_t kRefused = kConnections - 2;
+  std::vector<std::unique_ptr<RawConnection>> conns;
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    conns.push_back(std::make_unique<RawConnection>(gw.config().listen));
+  }
+  // Silent peers: wait (bounded) until every refused one has its answer.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  for (std::size_t answered = 0;
+       answered < kRefused && std::chrono::steady_clock::now() < deadline;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    answered = 0;
+    for (const auto& conn : conns) {
+      struct pollfd p{conn->fd.get(), POLLIN, 0};
+      if (::poll(&p, 1, 0) > 0) ++answered;
+    }
+  }
+  EXPECT_LE(gw.connection_thread_count(), 2u);
+
+  std::size_t refused = 0;
+  for (const auto& conn : conns) {
+    if (conn->read_reply().rfind("HTTP/1.1 503", 0) == 0) ++refused;
+  }
+  EXPECT_EQ(refused, kRefused);
+  thread.join();
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // (replay, torn tails, single-byte corruption fuzzing), the scheduler core
 // (completion, QueueFull backpressure, cancellation, strict-priority
 // preemption accounting, weighted fair share, tenant quotas, kill/restart
-// recovery), the JobService protocol end to end over a unix socket, and
+// recovery), the JobService protocol end to end over a unix socket (incl.
+// typed handshake errors and connection-thread reaping), and
 // the headline contract: a scheduled campaign job's CSV is byte-identical
 // to the standalone campaign driver's.
 
@@ -12,11 +13,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -33,6 +36,7 @@
 #include "sched/protocol.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/service.hpp"
+#include "svc/socket.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -777,6 +781,76 @@ TEST(SchedService, SubmitStatusCancelListOverTheWire) {
   server.join();
   scheduler.stop();
   std::filesystem::remove(sock);
+}
+
+/// A JobService over a FakeWorkload scheduler, serving on its own thread;
+/// drains and joins on destruction.
+struct TestJobService {
+  sched::Scheduler scheduler{sched::SchedulerConfig{},
+                             std::make_shared<FakeWorkload>()};
+  sched::ServiceConfig config;
+  std::optional<sched::JobService> service;
+  std::thread thread;
+
+  explicit TestJobService(const std::string& name) {
+    config.address =
+        svc::Address::parse("unix:" + fresh_file("intooa-" + name + ".sock"));
+    service.emplace(config, scheduler);
+    service->bind();
+    thread = std::thread([this] { service->run(); });
+  }
+  ~TestJobService() {
+    service->begin_drain();
+    thread.join();
+    scheduler.stop();
+  }
+};
+
+TEST(SchedService, RejectsOversizedFrames) {
+  // The shared handshake answers a bad first frame with the same typed
+  // Error intooa-served sends, then closes (schedd used to hang up
+  // silently).
+  TestJobService ts("schedd-oversized");
+  svc::Fd fd = svc::connect_to(ts.config.address);
+  // Hand-rolled header announcing a payload over the cap.
+  const std::uint32_t huge = svc::kMaxFrame + 1;
+  std::string header(4, '\0');
+  std::memcpy(header.data(), &huge, 4);
+  header.push_back(static_cast<char>(svc::MsgType::Hello));
+  ASSERT_TRUE(svc::write_all(fd.get(), header));
+  svc::Frame frame;
+  ASSERT_EQ(svc::read_frame(fd.get(), frame, 10'000), svc::ReadStatus::Ok);
+  ASSERT_EQ(frame.type, svc::MsgType::Error);
+  const auto error = svc::decode_error(frame.payload);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, svc::ErrorCode::OversizedFrame);
+  EXPECT_EQ(svc::read_frame(fd.get(), frame, 10'000),
+            svc::ReadStatus::Closed);
+
+  // An unknown message type as the first frame: Error(bad_frame), close.
+  svc::Fd second = svc::connect_to(ts.config.address);
+  ASSERT_TRUE(svc::write_all(second.get(), std::string("\0\0\0\0\xff", 5)));
+  ASSERT_EQ(svc::read_frame(second.get(), frame, 10'000),
+            svc::ReadStatus::Ok);
+  ASSERT_EQ(frame.type, svc::MsgType::Error);
+  EXPECT_EQ(svc::decode_error(frame.payload)->code, svc::ErrorCode::BadFrame);
+  EXPECT_EQ(svc::read_frame(second.get(), frame, 10'000),
+            svc::ReadStatus::Closed);
+}
+
+TEST(SchedService, ConnectionThreadsAreReaped) {
+  TestJobService ts("schedd-reap");
+  for (int i = 0; i < 20; ++i) {
+    sched::JobClient client;
+    client.connect(ts.config.address);
+    EXPECT_TRUE(client.ping());
+    client.close();
+  }
+  // One extra round makes the accept loop reap the finished handlers.
+  sched::JobClient last;
+  last.connect(ts.config.address);
+  EXPECT_TRUE(last.ping());
+  EXPECT_LE(ts.service->connection_thread_count(), 8u);
 }
 
 // ---- the byte-identity contract ----

@@ -303,6 +303,7 @@ TEST(SvcServer, RejectsOversizedFrames) {
   EXPECT_EQ(error->code, svc::ErrorCode::OversizedFrame);
   EXPECT_EQ(svc::read_frame(fd.get(), frame, 10'000),
             svc::ReadStatus::Closed);
+  EXPECT_EQ(ts.server.stats().errors, 1u);  // handshake errors are counted
 }
 
 TEST(SvcServer, ReassemblesDribbledFramesAndSurvivesTornOnes) {
