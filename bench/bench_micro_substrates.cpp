@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks of the computational substrates: WL
-// feature extraction and kernel evaluation, WL-GP fitting (the O(N^3) GP
+// feature extraction (one warm graph, and a fresh dictionary over a run's
+// worth of topologies) and kernel evaluation, WL-GP fitting (the O(N^3) GP
 // cost the paper argues dominates the WL kernel cost), complex MNA AC
 // analysis, pole extraction, one full sized-circuit evaluation (the
 // "simulation" unit of every experiment), the VGAE-BO autoencoder's Adam
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/nn.hpp"
 #include "baselines/vae.hpp"
@@ -59,6 +61,27 @@ void BM_WlFeatures(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WlFeatures)->Arg(0)->Arg(2)->Arg(6);
+
+// What a campaign pays: a fresh featurizer meets one INTO-OA run's worth of
+// topologies (~2,030) at h = 6, so most deep labels are new and get
+// interned. BM_WlFeatures's single warm graph interns nothing. `per_graph`
+// is the time per featurized graph.
+void BM_WlFeaturesFresh(benchmark::State& state) {
+  std::vector<graph::Graph> graphs;
+  for (const auto& topo : random_topologies(2030, 4)) {
+    graphs.push_back(circuit::build_circuit_graph(topo));
+  }
+  for (auto _ : state) {
+    graph::WlFeaturizer featurizer(6);
+    for (const auto& g : graphs) {
+      benchmark::DoNotOptimize(featurizer.features(g, 6));
+    }
+  }
+  state.counters["per_graph"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * graphs.size()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WlFeaturesFresh)->Unit(benchmark::kMillisecond);
 
 void BM_WlKernelGram(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -29,11 +29,18 @@ int main(int argc, char** argv) {
   std::printf("TABLE I: The Design Specification Sets\n");
   util::Table table(
       {"Specs", "Gain(dB)", "GBW(MHz)", "PM(deg)", "Power(uW)", "CL(pF)"});
+  // Appends instead of `">" + util::fmt(...)`, which g++ 12 misreports
+  // under -Wrestrict (fatal with INTOOA_WERROR).
+  const auto bound = [](const char* op, double value) {
+    std::string cell = op;
+    cell += util::fmt(value, 3);
+    return cell;
+  };
   for (const auto& spec : circuit::paper_specs()) {
-    table.add_row({spec.name, ">" + util::fmt(spec.gain_db_min, 3),
-                   ">" + util::fmt(spec.gbw_hz_min / 1e6, 3),
-                   ">" + util::fmt(spec.pm_deg_min, 3),
-                   "<" + util::fmt(spec.power_w_max / 1e-6, 3),
+    table.add_row({spec.name, bound(">", spec.gain_db_min),
+                   bound(">", spec.gbw_hz_min / 1e6),
+                   bound(">", spec.pm_deg_min),
+                   bound("<", spec.power_w_max / 1e-6),
                    util::fmt(spec.load_cap / 1e-12, 5)});
   }
   std::printf("%s\n", table.to_ascii().c_str());

@@ -9,10 +9,11 @@
 //
 // Build & run:  cmake --build build && ./build/examples/serve_evaluations
 //
-// Out of process, the same conversation is:
-//   ./build/src/svc/intooa-served --listen unix:/tmp/intooa.sock \
+// Out of process, the same conversation is two commands (continuation
+// lines indented):
+//   ./build/src/svc/intooa-served --listen unix:/tmp/intooa.sock
 //       --store /tmp/eval-store.bin
-//   ./build/src/svc/intooa-svc-client --connect unix:/tmp/intooa.sock \
+//   ./build/src/svc/intooa-svc-client --connect unix:/tmp/intooa.sock
 //       --spec S-1 --topology 5 --count 4 --verify
 
 #include <cstdio>

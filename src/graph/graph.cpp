@@ -65,7 +65,10 @@ std::string Graph::to_string() const {
   std::string out;
   for (NodeId id = 0; id < labels_.size(); ++id) {
     out += std::to_string(id) + " [" + labels_[id] + "]:";
-    for (NodeId n : adjacency_[id]) out += " " + std::to_string(n);
+    for (NodeId n : adjacency_[id]) {
+      out += ' ';
+      out += std::to_string(n);
+    }
     out += "\n";
   }
   return out;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -13,14 +14,79 @@ WlFeaturizer::WlFeaturizer(int max_h) : max_h_(max_h) {
   if (max_h < 0) throw std::invalid_argument("WlFeaturizer: max_h < 0");
 }
 
-std::size_t WlFeaturizer::intern(const std::string& signature, int depth,
-                                 std::string provenance) {
-  const auto [it, inserted] = ids_.try_emplace(signature, provenance_.size());
+namespace {
+
+// SplitMix64's finalizer: every input bit reaches the low bits that index
+// the probe table.
+std::uint64_t mix(std::uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
+std::uint64_t subtree_hash(std::uint32_t depth, std::uint32_t root,
+                           const std::uint32_t* children, std::size_t count) {
+  std::uint64_t h = mix((std::uint64_t{depth} << 32) | root);
+  for (std::size_t i = 0; i < count; ++i) h = mix(h ^ children[i]);
+  return h;
+}
+
+}  // namespace
+
+std::size_t WlFeaturizer::intern_raw(const std::string& label) {
+  const auto [it, inserted] = raw_ids_.try_emplace(label, labels_.size());
   if (inserted) {
-    provenance_.push_back(std::move(provenance));
-    depth_.push_back(depth);
+    labels_.push_back(
+        {0, static_cast<std::uint32_t>(raw_labels_.size()), 0, 0});
+    raw_labels_.push_back(label);
   }
   return it->second;
+}
+
+std::size_t WlFeaturizer::intern_subtree(
+    std::uint32_t depth, std::uint32_t root,
+    const std::vector<std::uint32_t>& children) {
+  const std::size_t subtrees = labels_.size() - raw_labels_.size();
+  if (2 * (subtrees + 1) > slots_.size()) grow_slots();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i =
+           subtree_hash(depth, root, children.data(), children.size()) & mask;
+       ; i = (i + 1) & mask) {
+    std::uint32_t& slot = slots_[i];
+    if (slot == 0) {
+      const auto id = static_cast<std::uint32_t>(labels_.size());
+      labels_.push_back({depth, root,
+                         static_cast<std::uint32_t>(children_.size()),
+                         static_cast<std::uint32_t>(children.size())});
+      children_.insert(children_.end(), children.begin(), children.end());
+      slot = id + 1;
+      return id;
+    }
+    const Label& l = labels_[slot - 1];
+    if (l.depth == depth && l.root == root && l.count == children.size() &&
+        std::equal(children.begin(), children.end(),
+                   children_.begin() + l.first)) {
+      return slot - 1;
+    }
+  }
+}
+
+void WlFeaturizer::grow_slots() {
+  std::vector<std::uint32_t> old = std::exchange(
+      slots_, std::vector<std::uint32_t>(
+                  std::max<std::size_t>(64, 2 * slots_.size()), 0));
+  const std::size_t mask = slots_.size() - 1;
+  for (std::uint32_t slot : old) {
+    if (slot == 0) continue;
+    const Label& l = labels_[slot - 1];
+    std::size_t i =
+        subtree_hash(l.depth, l.root, children_.data() + l.first, l.count) &
+        mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
 }
 
 std::vector<std::vector<std::size_t>> WlFeaturizer::node_labels(const Graph& g,
@@ -34,39 +100,24 @@ std::vector<std::vector<std::size_t>> WlFeaturizer::node_labels(const Graph& g,
 
   // Iteration 0: raw node labels.
   std::vector<std::size_t> current(n);
-  for (NodeId v = 0; v < n; ++v) {
-    const std::string& label = g.label(v);
-    current[v] = intern("0|" + label, 0, label);
-  }
+  for (NodeId v = 0; v < n; ++v) current[v] = intern_raw(g.label(v));
   levels.push_back(current);
 
-  // Iterations 1..h: neighborhood aggregation + label compression. The
-  // signature uses compressed integer ids (the "hash" of Fig. 4(c)); the
-  // provenance string keeps the readable rooted-subtree expansion.
-  std::vector<std::size_t> next(n);
+  // Iterations 1..h: neighborhood aggregation + label compression (the
+  // "hash" of Fig. 4(c)), keyed by the integer ids themselves.
+  std::vector<std::uint32_t> neigh;
   for (int iter = 1; iter <= h; ++iter) {
+    std::vector<std::size_t> next(n);
     for (NodeId v = 0; v < n; ++v) {
-      std::vector<std::size_t> neigh;
-      neigh.reserve(g.neighbors(v).size());
-      for (NodeId u : g.neighbors(v)) neigh.push_back(current[u]);
-      std::sort(neigh.begin(), neigh.end());
-
-      std::string signature =
-          std::to_string(iter) + "|" + std::to_string(current[v]) + "(";
-      std::string readable = provenance_[current[v]] + "{";
-      for (std::size_t i = 0; i < neigh.size(); ++i) {
-        if (i) {
-          signature += ",";
-          readable += ",";
-        }
-        signature += std::to_string(neigh[i]);
-        readable += provenance_[neigh[i]];
+      neigh.clear();
+      for (NodeId u : g.neighbors(v)) {
+        neigh.push_back(static_cast<std::uint32_t>(current[u]));
       }
-      signature += ")";
-      readable += "}";
-      next[v] = intern(signature, iter, std::move(readable));
+      std::sort(neigh.begin(), neigh.end());
+      next[v] = intern_subtree(static_cast<std::uint32_t>(iter),
+                               static_cast<std::uint32_t>(current[v]), neigh);
     }
-    current = next;
+    current = std::move(next);
     levels.push_back(current);
   }
   return levels;
@@ -84,17 +135,34 @@ SparseVec WlFeaturizer::features(const Graph& g, int h) {
 }
 
 int WlFeaturizer::depth_of(std::size_t id) const {
-  if (id >= depth_.size()) {
+  if (id >= labels_.size()) {
     throw std::out_of_range("WlFeaturizer::depth_of: unknown label id");
   }
-  return depth_[id];
+  return static_cast<int>(labels_[id].depth);
 }
 
-const std::string& WlFeaturizer::provenance(std::size_t id) const {
-  if (id >= provenance_.size()) {
+std::string WlFeaturizer::provenance(std::size_t id) const {
+  if (id >= labels_.size()) {
     throw std::out_of_range("WlFeaturizer::provenance: unknown label id");
   }
-  return provenance_[id];
+  std::string out;
+  render(id, out);
+  return out;
+}
+
+void WlFeaturizer::render(std::size_t id, std::string& out) const {
+  const Label& l = labels_[id];
+  if (l.depth == 0) {
+    out += raw_labels_[l.root];
+    return;
+  }
+  render(l.root, out);
+  out += '{';
+  for (std::size_t i = 0; i < l.count; ++i) {
+    if (i) out += ',';
+    render(children_[l.first + i], out);
+  }
+  out += '}';
 }
 
 SparseVec filter_by_depth(const SparseVec& full, const WlFeaturizer& featurizer,

@@ -8,8 +8,16 @@
 // interpretable — feature j always denotes one specific circuit structure,
 // whose human-readable description the featurizer can report
 // (`provenance(j)`).
+//
+// The dictionary stores each label as structure, never as text: a depth-0
+// label names a raw node label, and a deeper label names its root label id
+// plus the sorted ids of its neighbours' labels, one level shallower. The
+// readable string is rendered from that structure on request. (A stored,
+// fully expanded depth-6 string repeats every shallower one it contains;
+// for a campaign's ~10^5 labels that is a gigabyte.)
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,7 +52,7 @@ class WlFeaturizer {
 
   /// Total number of distinct labels (= feature dimensions) discovered so
   /// far across all featurized graphs.
-  std::size_t label_count() const { return provenance_.size(); }
+  std::size_t label_count() const { return labels_.size(); }
 
   /// WL iteration depth at which feature `id` appears (0 = raw node label).
   int depth_of(std::size_t id) const;
@@ -52,16 +60,37 @@ class WlFeaturizer {
   /// Human-readable description of the circuit structure feature `id`
   /// counts. Depth-0 features are plain node labels ("RCs", "v1", ...);
   /// deeper features show the rooted subtree, e.g. "RCs{v1,vout}".
-  const std::string& provenance(std::size_t id) const;
+  std::string provenance(std::size_t id) const;
 
  private:
-  std::size_t intern(const std::string& signature, int depth,
-                     std::string provenance);
+  /// One dictionary entry (16 bytes; a campaign dictionary holds ~10^5).
+  /// Depth 0: `root` indexes `raw_labels_`. Deeper: `root` is the node's
+  /// own label id one level shallower, and children_[first, first + count)
+  /// its neighbours' label ids, sorted.
+  struct Label {
+    std::uint32_t depth;
+    std::uint32_t root;
+    std::uint32_t first;
+    std::uint32_t count;
+  };
+
+  std::size_t intern_raw(const std::string& label);
+  /// Id of the label (depth, root, sorted `children`), interned in
+  /// first-seen order.
+  std::size_t intern_subtree(std::uint32_t depth, std::uint32_t root,
+                             const std::vector<std::uint32_t>& children);
+  /// Doubles `slots_` and re-inserts every depth >= 1 label.
+  void grow_slots();
+  void render(std::size_t id, std::string& out) const;
 
   int max_h_;
-  std::unordered_map<std::string, std::size_t> ids_;
-  std::vector<std::string> provenance_;
-  std::vector<int> depth_;
+  std::unordered_map<std::string, std::size_t> raw_ids_;
+  std::vector<std::string> raw_labels_;
+  std::vector<Label> labels_;
+  std::vector<std::uint32_t> children_;
+  /// Open-addressed (linear probing) index of the depth >= 1 labels:
+  /// label id + 1, 0 = empty. Kept at most half full.
+  std::vector<std::uint32_t> slots_;
 };
 
 /// Restriction of a full-depth feature vector to the entries of WL depth

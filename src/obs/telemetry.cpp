@@ -1,5 +1,7 @@
 #include "obs/telemetry.hpp"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
@@ -17,6 +19,22 @@ namespace {
 // registration protocol unconditionally safe.
 std::mutex g_active_mutex;
 BenchTelemetry* g_active = nullptr;
+
+// Whole-process resource use so far: peak resident set (MiB) and user +
+// system CPU time (s).
+void record_process_usage() {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return;
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  // Linux reports ru_maxrss in KiB.
+  registry().gauge("process.rss_peak_mb")
+      .set(static_cast<double>(usage.ru_maxrss) / 1024.0);
+  registry().gauge("process.cpu_seconds")
+      .set(seconds(usage.ru_utime) + seconds(usage.ru_stime));
+}
 
 }  // namespace
 
@@ -67,6 +85,7 @@ void BenchTelemetry::finalize() {
   const double elapsed = elapsed_seconds();
   if (!options_.trace_path.empty()) write_trace(options_.trace_path);
 
+  record_process_usage();
   const MetricsSnapshot snapshot = registry().snapshot();
   if (!options_.metrics_path.empty()) {
     write_metrics_report(options_.metrics_path, snapshot, elapsed);

@@ -3,11 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "circuit/circuit_graph.hpp"
+#include "circuit/topology.hpp"
 #include "graph/graph.hpp"
 #include "graph/sparse.hpp"
 #include "graph/wl.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -261,6 +270,120 @@ TEST(Wl, EmptyGraph) {
   WlFeaturizer feat(2);
   const auto phi = feat.features(Graph(), 2);
   EXPECT_EQ(phi.nnz(), 0u);
+}
+
+// A string-signature WL featurizer: it interns each label by a decimal
+// string of its depth, root id and sorted neighbour ids, and stores its
+// fully expanded provenance string. It is the oracle for WlFeaturizer's
+// structural dictionary; both must assign every structure the same id in
+// the same first-seen order.
+class ReferenceWlFeaturizer {
+ public:
+  std::vector<std::vector<std::size_t>> node_labels(const Graph& g, int h) {
+    const std::size_t n = g.node_count();
+    std::vector<std::vector<std::size_t>> levels;
+    std::vector<std::size_t> current(n);
+    for (NodeId v = 0; v < n; ++v) {
+      const std::string& label = g.label(v);
+      current[v] = intern("0|" + label, 0, label);
+    }
+    levels.push_back(current);
+
+    std::vector<std::size_t> next(n);
+    for (int iter = 1; iter <= h; ++iter) {
+      for (NodeId v = 0; v < n; ++v) {
+        std::vector<std::size_t> neigh;
+        for (NodeId u : g.neighbors(v)) neigh.push_back(current[u]);
+        std::sort(neigh.begin(), neigh.end());
+
+        std::string signature =
+            std::to_string(iter) + "|" + std::to_string(current[v]) + "(";
+        std::string readable = provenance_[current[v]] + "{";
+        for (std::size_t i = 0; i < neigh.size(); ++i) {
+          if (i) {
+            signature += ",";
+            readable += ",";
+          }
+          signature += std::to_string(neigh[i]);
+          readable += provenance_[neigh[i]];
+        }
+        signature += ")";
+        readable += "}";
+        next[v] = intern(signature, iter, std::move(readable));
+      }
+      current = next;
+      levels.push_back(current);
+    }
+    return levels;
+  }
+
+  SparseVec features(const Graph& g, int h) {
+    SparseVec phi;
+    for (const auto& level : node_labels(g, h)) {
+      for (std::size_t id : level) phi.add(id, 1.0);
+    }
+    return phi;
+  }
+
+  std::size_t label_count() const { return provenance_.size(); }
+  int depth_of(std::size_t id) const { return depth_.at(id); }
+  const std::string& provenance(std::size_t id) const {
+    return provenance_.at(id);
+  }
+
+ private:
+  std::size_t intern(const std::string& signature, int depth,
+                     std::string provenance) {
+    const auto [it, inserted] = ids_.try_emplace(signature, provenance_.size());
+    if (inserted) {
+      provenance_.push_back(std::move(provenance));
+      depth_.push_back(depth);
+    }
+    return it->second;
+  }
+
+  std::unordered_map<std::string, std::size_t> ids_;
+  std::vector<std::string> provenance_;
+  std::vector<int> depth_;
+};
+
+// Featurizes the next `count` random topologies of `rng` at depth `h` with
+// both featurizers and compares everything either exposes.
+void expect_matches_reference(WlFeaturizer& fast,
+                              ReferenceWlFeaturizer& reference,
+                              intooa::util::Rng& rng, std::size_t count,
+                              int h) {
+  SCOPED_TRACE("h " + std::to_string(h));
+  for (std::size_t i = 0; i < count; ++i) {
+    const Graph g = intooa::circuit::build_circuit_graph(
+        intooa::circuit::Topology::random(rng));
+    ASSERT_EQ(fast.node_labels(g, h), reference.node_labels(g, h)) << i;
+    ASSERT_EQ(fast.features(g, h), reference.features(g, h)) << i;
+    ASSERT_EQ(fast.label_count(), reference.label_count()) << i;
+  }
+  for (std::size_t id = 0; id < reference.label_count(); ++id) {
+    ASSERT_EQ(fast.depth_of(id), reference.depth_of(id)) << id;
+    ASSERT_EQ(fast.provenance(id), reference.provenance(id)) << id;
+  }
+}
+
+TEST(Wl, StructuralMatchesStringReference) {
+  // One INTO-OA run featurizes ~2,030 topologies at h = 6.
+  for (std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    intooa::util::Rng rng(seed);
+    WlFeaturizer fast(6);
+    ReferenceWlFeaturizer reference;
+    expect_matches_reference(fast, reference, rng, 2030, 6);
+  }
+  // Shorter streams at every smaller depth, all into one dictionary, as
+  // the interpretability layer's shallower queries share the campaign's.
+  intooa::util::Rng rng(10);
+  WlFeaturizer fast(6);
+  ReferenceWlFeaturizer reference;
+  for (int h = 0; h <= 5; ++h) {
+    expect_matches_reference(fast, reference, rng, 300, h);
+  }
 }
 
 }  // namespace

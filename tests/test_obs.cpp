@@ -120,7 +120,7 @@ TEST(Json, EscapingPassesValidUtf8AndReplacesMalformed) {
   // Overlong encoding of '/', a bare continuation byte, a UTF-16 surrogate
   // and a truncated lead are each replaced with U+FFFD per bad byte run.
   const std::string replacement = "\xEF\xBF\xBD";
-  for (const std::string bad :
+  for (const std::string& bad :
        {std::string("\xC0\xAF"), std::string("\x80"),
         std::string("\xED\xA0\x80"), std::string("\xF0\x9F")}) {
     const std::string out = obs::Json::parse(obs::Json(bad).dump()).as_string();
@@ -583,6 +583,24 @@ TEST(Telemetry, FinalizeWritesTraceAndMetrics) {
   EXPECT_TRUE(
       metrics.at("histograms").contains("test.telemetry_span"));
   std::filesystem::remove(options.trace_path);
+  std::filesystem::remove(options.metrics_path);
+  util::set_log_level(saved);
+}
+
+TEST(Telemetry, FinalizeRecordsProcessUsage) {
+  const util::LogLevel saved = util::log_level();
+  obs::TelemetryOptions options;
+  options.metrics_path = temp_file("intooa_test_process_usage_metrics.json");
+  {
+    obs::BenchTelemetry telemetry(options);
+    telemetry.finalize();
+  }
+  const obs::Json metrics = obs::Json::parse(slurp(options.metrics_path));
+  const obs::Json& gauges = metrics.at("gauges");
+  ASSERT_TRUE(gauges.contains("process.rss_peak_mb"));
+  ASSERT_TRUE(gauges.contains("process.cpu_seconds"));
+  EXPECT_GT(gauges.at("process.rss_peak_mb").as_number(), 0.0);
+  EXPECT_GT(gauges.at("process.cpu_seconds").as_number(), 0.0);
   std::filesystem::remove(options.metrics_path);
   util::set_log_level(saved);
 }

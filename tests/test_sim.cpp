@@ -123,10 +123,11 @@ TEST(Phase, UnwrapAccumulatesSmoothLag) {
   auto prev = in;
   net.add_vsource("src", in, 0, 1.0);
   for (int i = 0; i < 3; ++i) {
-    const auto next = net.node("n" + std::to_string(i));
-    net.add_vccs("g" + std::to_string(i), next, 0, prev, 0, -1e-3, 0.0);
-    net.add_resistor("r" + std::to_string(i), next, 0, 10e3);
-    net.add_capacitor("c" + std::to_string(i), next, 0, 1e-9);
+    const std::string idx = std::to_string(i);
+    const auto next = net.node("n" + idx);
+    net.add_vccs("g" + idx, next, 0, prev, 0, -1e-3, 0.0);
+    net.add_resistor("r" + idx, next, 0, 10e3);
+    net.add_capacitor("c" + idx, next, 0, 1e-9);
     prev = next;
   }
   const AcSweep sweep = run_ac(net, "n2");
@@ -253,7 +254,9 @@ TEST(Metrics, BareThreeStageIsUnstableInPhase) {
   const auto net = circuit::build_behavioral(
       circuit::Topology(), std::vector<double>{100e-6, 100e-6, 1e-3}, cfg);
   const auto perf = evaluate_opamp(net, cfg.vdd);
-  if (perf.valid) EXPECT_LT(perf.pm_deg, 20.0);
+  if (perf.valid) {
+    EXPECT_LT(perf.pm_deg, 20.0);
+  }
 }
 
 TEST(Metrics, PowerIndependentOfFrequencyGrid) {

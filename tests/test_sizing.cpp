@@ -170,7 +170,9 @@ TEST(Sizer, HistoryFomMatchesFeasibility) {
       EXPECT_TRUE(point.perf.valid);
       EXPECT_DOUBLE_EQ(point.violation(), 0.0);
     }
-    if (!point.perf.valid) EXPECT_DOUBLE_EQ(point.fom, 0.0);
+    if (!point.perf.valid) {
+      EXPECT_DOUBLE_EQ(point.fom, 0.0);
+    }
   }
 }
 
