@@ -2,8 +2,9 @@
 // feature extraction (one warm graph, and a fresh dictionary over a run's
 // worth of topologies) and kernel evaluation, WL-GP fitting (the O(N^3) GP
 // cost the paper argues dominates the WL kernel cost), complex MNA AC
-// analysis, pole extraction, one full sized-circuit evaluation (the
-// "simulation" unit of every experiment), the VGAE-BO autoencoder's Adam
+// analysis (one point and one whole sweep), pole extraction, one sizing
+// acquisition step over a 256-candidate pool, one full sized-circuit
+// evaluation (the "simulation" unit of every experiment), the VGAE-BO autoencoder's Adam
 // step and training step, and the persistent evaluation store (append with
 // per-record fsync, and indexed lookup).
 //
@@ -12,6 +13,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -23,7 +25,9 @@
 #include "circuit/behavioral.hpp"
 #include "circuit/circuit_graph.hpp"
 #include "circuit/library.hpp"
+#include "gp/acquisition.hpp"
 #include "gp/fit_cache.hpp"
+#include "gp/joint_gp.hpp"
 #include "gp/wlgp.hpp"
 #include "la/cholesky.hpp"
 #include "la/matrix.hpp"
@@ -248,6 +252,16 @@ void BM_MnaSinglePoint(benchmark::State& state) {
 }
 BENCHMARK(BM_MnaSinglePoint);
 
+void BM_AcSweep(benchmark::State& state) {
+  // One run_ac: pole check plus the full log grid (with resonance
+  // refinements) solved on one reused LU.
+  const auto net = nmc_netlist();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::run_ac(net, "vout"));
+  }
+}
+BENCHMARK(BM_AcSweep)->Unit(benchmark::kMicrosecond);
+
 void BM_PoleExtraction(benchmark::State& state) {
   const auto net = nmc_netlist();
   const sim::AcSolver solver(net);
@@ -268,6 +282,35 @@ void BM_FullSimulation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullSimulation);
+
+void BM_JointGpAcquire(benchmark::State& state) {
+  // One sizing-BO acquisition step: wEI over a 256-candidate pool on a
+  // joint GP fitted to N points (objective + 4 constraint margins).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kDim = 8;
+  constexpr std::size_t kCandidates = 256;
+  util::Rng rng(21);
+  std::vector<std::vector<double>> xs(n, std::vector<double>(kDim));
+  std::vector<std::vector<double>> ys(n, std::vector<double>(5));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (auto& v : xs[i]) v = rng.uniform();
+    for (std::size_t k = 0; k < 5; ++k) {
+      ys[i][k] = std::sin(3.0 * xs[i][k]) + 0.1 * rng.normal();
+    }
+  }
+  gp::JointGp model;
+  model.fit(xs, ys, true);
+  la::MatrixD pool(kCandidates, kDim);
+  for (std::size_t c = 0; c < kCandidates; ++c) {
+    for (auto& v : pool.row(c)) v = rng.uniform();
+  }
+  for (auto _ : state) {
+    const auto scores =
+        gp::weighted_ei_pool(model.predict_pool(pool), 0.5, true);
+    benchmark::DoNotOptimize(gp::select_best_candidate(scores, rng));
+  }
+}
+BENCHMARK(BM_JointGpAcquire)->Unit(benchmark::kMicrosecond)->Arg(20)->Arg(40);
 
 void BM_TopologyIndexRoundTrip(benchmark::State& state) {
   util::Rng rng(4);

@@ -105,17 +105,13 @@ core::OptimizationOutcome VgaeBo::run(core::TopologyEvaluator& evaluator,
 
     // Candidate latents: half prior samples, half perturbations of the
     // incumbent's latent; scored by wEI, decoded best-first until an
-    // unvisited topology appears.
-    struct Scored {
-      std::vector<double> z;
-      double score;
-    };
-    std::vector<Scored> scored;
-    scored.reserve(config_.candidates);
+    // unvisited topology appears. Non-finite scores are dropped before
+    // ranking.
     const std::vector<double>& anchor =
         have_feasible ? latents[best_idx] : latents.front();
+    la::MatrixD pool(config_.candidates, config_.vae.latent_dim);
     for (std::size_t c = 0; c < config_.candidates; ++c) {
-      std::vector<double> z(config_.vae.latent_dim);
+      const std::span<double> z = pool.row(c);
       if (c % 2 == 0) {
         for (auto& v : z) v = rng.normal(0.0, config_.prior_sigma);
       } else {
@@ -123,30 +119,19 @@ core::OptimizationOutcome VgaeBo::run(core::TopologyEvaluator& evaluator,
           z[k] = anchor[k] + rng.normal(0.0, 0.3);
         }
       }
-      const gp::JointPrediction pred = model.predict(z);
-      gp::WeiInputs in;
-      in.objective_mean = pred.mean[0];
-      in.objective_variance = pred.variance[0];
-      in.best_feasible = best_objective;
-      in.have_feasible = have_feasible;
-      std::array<double, circuit::Spec::kConstraintCount> cm{}, cv{};
-      for (std::size_t k = 0; k < cm.size(); ++k) {
-        cm[k] = pred.mean[k + 1];
-        cv[k] = pred.variance[k + 1];
-      }
-      in.constraint_means = cm;
-      in.constraint_variances = cv;
-      scored.push_back({std::move(z), gp::weighted_ei(in)});
     }
-    std::sort(scored.begin(), scored.end(),
-              [](const Scored& a, const Scored& b) { return a.score > b.score; });
+    const std::vector<double> scores = gp::weighted_ei_pool(
+        model.predict_pool(pool), best_objective, have_feasible);
+    std::vector<std::size_t> ranked = gp::finite_candidates(scores);
+    std::sort(ranked.begin(), ranked.end(),
+              [&](std::size_t a, std::size_t b) { return scores[a] > scores[b]; });
 
     // Decode best-first; the many-to-one decoder often collapses onto
     // visited topologies — skip those (they cost nothing, per the shared
     // visited rule) and take the first fresh decode.
     bool advanced = false;
-    for (const Scored& s : scored) {
-      const circuit::Topology topo = vae.decode(s.z);
+    for (std::size_t c : ranked) {
+      const circuit::Topology topo = vae.decode(pool.row(c));
       if (visited.count(topo.index())) continue;
       observe(topo);
       advanced = true;

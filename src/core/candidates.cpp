@@ -1,12 +1,6 @@
 #include "core/candidates.hpp"
 
-#include <cmath>
-#include <limits>
 #include <stdexcept>
-#include <string>
-
-#include "obs/metrics.hpp"
-#include "util/log.hpp"
 
 namespace intooa::core {
 
@@ -59,35 +53,6 @@ std::vector<circuit::Topology> generate_candidates(
     ++attempts;
   }
   return pool;
-}
-
-std::size_t select_best_candidate(std::span<const double> scores,
-                                  util::Rng& rng) {
-  if (scores.empty()) {
-    throw std::invalid_argument("select_best_candidate: empty scores");
-  }
-  double best_score = -std::numeric_limits<double>::infinity();
-  std::size_t best = 0;
-  bool any_finite = false;
-  std::size_t dropped = 0;
-  for (std::size_t c = 0; c < scores.size(); ++c) {
-    if (!std::isfinite(scores[c])) {
-      ++dropped;
-      continue;
-    }
-    if (!any_finite || scores[c] > best_score) {
-      any_finite = true;
-      best_score = scores[c];
-      best = c;
-    }
-  }
-  if (dropped > 0) {
-    obs::registry().counter("optimizer.nonfinite_scores").add(dropped);
-    util::log_warn("select_best_candidate: dropped " + std::to_string(dropped) +
-                   " non-finite acquisition scores");
-  }
-  if (!any_finite) return rng.index(scores.size());
-  return best;
 }
 
 }  // namespace intooa::core

@@ -34,13 +34,4 @@ std::vector<circuit::Topology> generate_candidates(
     std::span<const circuit::Topology> best_topologies,
     const std::unordered_set<std::size_t>& visited, util::Rng& rng);
 
-/// Argmax over acquisition scores with non-finite scores dropped (counted
-/// in the optimizer.nonfinite_scores counter and logged). When no finite
-/// score exists at all, falls back to a uniform pick from `rng` — a
-/// deterministic function of the caller's stream — rather than silently
-/// returning index 0. `scores` must be non-empty. `rng` is drawn from only
-/// on the fallback path.
-std::size_t select_best_candidate(std::span<const double> scores,
-                                  util::Rng& rng);
-
 }  // namespace intooa::core

@@ -196,7 +196,7 @@ OptimizationOutcome IntoOaOptimizer::run(TopologyEvaluator& evaluator,
             return gp::weighted_ei(in);
           });
     }();
-    const std::size_t best_candidate = select_best_candidate(scores, rng);
+    const std::size_t best_candidate = gp::select_best_candidate(scores, rng);
 
     // Lines 7-8, 10: evaluate, extend dataset, mark visited.
     evaluator.evaluate(pool[best_candidate]);

@@ -10,7 +10,11 @@
 // the acquisition degenerates to pure feasibility search (prod PF_i), which
 // is the standard behavior of wEI-family methods.
 
+#include <cstddef>
 #include <span>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace intooa::gp {
 
@@ -41,5 +45,27 @@ struct WeiInputs {
 /// incumbent the EI factor is dropped: the score is the product of
 /// feasibility probabilities alone.
 double weighted_ei(const WeiInputs& in);
+
+struct PoolPrediction;
+
+/// wEI of every candidate of `pool`, in pool order. Output 0 of the pool
+/// is the objective; outputs 1.. are the constraint margins.
+std::vector<double> weighted_ei_pool(const PoolPrediction& pool,
+                                     double best_feasible, bool have_feasible);
+
+/// Argmax over acquisition scores with non-finite scores dropped (counted
+/// in the acquisition.nonfinite_scores counter and logged); ties go to
+/// the earliest index. When no finite score exists at all, falls back to
+/// a uniform pick from `rng` — a deterministic function of the caller's
+/// stream — rather than silently returning index 0. `scores` must be
+/// non-empty. `rng` is drawn from only on the fallback path.
+std::size_t select_best_candidate(std::span<const double> scores,
+                                  util::Rng& rng);
+
+/// Indices of the finite scores, in order; the non-finite ones are
+/// counted and logged as select_best_candidate does. Callers that rank a
+/// whole pool (std::sort needs a strict weak order, which NaN breaks)
+/// rank these.
+std::vector<std::size_t> finite_candidates(std::span<const double> scores);
 
 }  // namespace intooa::gp

@@ -1,5 +1,7 @@
 #include "gp/joint_gp.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -147,26 +149,82 @@ void JointGp::fit(const std::vector<std::vector<double>>& inputs,
 }
 
 JointPrediction JointGp::predict(std::span<const double> x) const {
+  la::MatrixD xs(1, x.size());
+  std::copy(x.begin(), x.end(), xs.row(0).begin());
+  PoolPrediction pool = predict_pool(xs);
+  return {std::move(pool.mean), std::move(pool.variance)};
+}
+
+PoolPrediction JointGp::predict_pool(const la::MatrixD& xs) const {
   if (!trained()) throw std::logic_error("JointGp::predict: not trained");
+  const std::size_t dim = inputs_.front().size();
+  if (xs.cols() != dim) {
+    throw std::invalid_argument("JointGp: dimension mismatch");
+  }
+  constexpr std::size_t W = kPoolBlock;
   const std::size_t n = inputs_.size();
   const std::size_t m = y_mean_.size();
-  std::vector<double> kvec(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    kvec[i] = kernel_value(inputs_[i], x, hyper_.lengthscale);
-  }
-  const auto v = chol_->solve_lower(kvec);
-  double quad = 0.0;
-  for (double vi : v) quad += vi * vi;
-  const double var_std = std::max(0.0, hyper_.signal_variance - quad);
+  const std::size_t count = xs.rows();
+  const double ls2 = hyper_.lengthscale * hyper_.lengthscale;
+  PoolPrediction out;
+  out.outputs = m;
+  out.mean.resize(count * m);
+  out.variance.resize(count * m);
 
-  JointPrediction out;
-  out.mean.resize(m);
-  out.variance.resize(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    double mean_std = 0.0;
-    for (std::size_t i = 0; i < n; ++i) mean_std += kvec[i] * alpha_[k][i];
-    out.mean[k] = mean_std * y_scale_[k] + y_mean_[k];
-    out.variance[k] = var_std * y_scale_[k] * y_scale_[k];
+  // Scratch for one block, candidate-minor (index [row * W + j] for
+  // candidate j of the block); a short last block is padded with zeros
+  // whose results are dropped. Every per-candidate expression below is the
+  // one kernel_value and a lone prediction evaluate, accumulated in the
+  // same order.
+  std::vector<double> xt(dim * W);
+  std::vector<double> kstar(n * W);
+  std::vector<double> v(n * W);
+  std::array<double, W> acc{};
+  std::array<double, W> var_std{};
+  for (std::size_t first = 0; first < count; first += W) {
+    const std::size_t w = std::min(W, count - first);
+    for (std::size_t d = 0; d < dim; ++d) {
+      for (std::size_t j = 0; j < W; ++j) {
+        xt[d * W + j] = j < w ? xs(first + j, d) : 0.0;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      acc.fill(0.0);
+      for (std::size_t d = 0; d < dim; ++d) {
+        const double a = inputs_[i][d];
+        const double* xd = xt.data() + d * W;
+        for (std::size_t j = 0; j < W; ++j) {
+          const double diff = a - xd[j];
+          acc[j] += diff * diff;
+        }
+      }
+      double* ki = kstar.data() + i * W;
+      for (std::size_t j = 0; j < W; ++j) {
+        ki[j] = j < w ? std::exp(-0.5 * acc[j] / ls2) : 0.0;
+      }
+    }
+    chol_->solve_lower_block<W>(kstar, v);
+    acc.fill(0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* vi = v.data() + i * W;
+      for (std::size_t j = 0; j < W; ++j) acc[j] += vi[j] * vi[j];
+    }
+    for (std::size_t j = 0; j < W; ++j) {
+      var_std[j] = std::max(0.0, hyper_.signal_variance - acc[j]);
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      acc.fill(0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double a = alpha_[k][i];
+        const double* ki = kstar.data() + i * W;
+        for (std::size_t j = 0; j < W; ++j) acc[j] += ki[j] * a;
+      }
+      for (std::size_t j = 0; j < w; ++j) {
+        const std::size_t at = (first + j) * m + k;
+        out.mean[at] = acc[j] * y_scale_[k] + y_mean_[k];
+        out.variance[at] = var_std[j] * y_scale_[k] * y_scale_[k];
+      }
+    }
   }
   return out;
 }

@@ -24,6 +24,21 @@ struct JointPrediction {
   std::vector<double> variance;
 };
 
+/// Joint predictions of a candidate pool, candidate-major: candidate c's
+/// output k is at index c * outputs + k, in original units.
+struct PoolPrediction {
+  std::size_t outputs = 0;
+  std::vector<double> mean;
+  std::vector<double> variance;
+
+  std::span<const double> mean_of(std::size_t c) const {
+    return std::span<const double>(mean).subspan(c * outputs, outputs);
+  }
+  std::span<const double> variance_of(std::size_t c) const {
+    return std::span<const double>(variance).subspan(c * outputs, outputs);
+  }
+};
+
 /// Multi-output GP regression with a shared isotropic RBF kernel on
 /// [0,1]^d inputs.
 class JointGp {
@@ -41,8 +56,20 @@ class JointGp {
   std::size_t size() const { return inputs_.size(); }
   std::size_t outputs() const { return y_mean_.size(); }
 
-  /// Posterior means/variances of all outputs at `x`, in original units.
+  /// Posterior means/variances of all outputs at `x`, in original units:
+  /// the one-candidate case of predict_pool.
   JointPrediction predict(std::span<const double> x) const;
+
+  /// Posterior means/variances at every row of `xs` (one candidate per
+  /// row). Candidates are scored in blocks of kPoolBlock: one k* block,
+  /// one blocked forward solve, then the variance quads and the means.
+  /// Each candidate undergoes exactly the operations, in the same order,
+  /// of a lone prediction, so the results do not depend on the pool.
+  PoolPrediction predict_pool(const la::MatrixD& xs) const;
+
+  /// Candidates per block in predict_pool: wide enough to vectorize the
+  /// forward solve, small enough that its scratch stays a few pages.
+  static constexpr std::size_t kPoolBlock = 32;
 
   const GpHyper& hyper() const { return hyper_; }
 

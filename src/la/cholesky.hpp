@@ -5,6 +5,7 @@
 // Gram matrices that are PSD-but-nearly-singular (duplicate or
 // near-duplicate topologies produce identical WL feature rows).
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <span>
@@ -63,6 +64,30 @@ class Cholesky {
   /// computations where v = L^{-1} k gives sigma^2 = k** - v^T v.
   std::vector<double> solve_lower(std::span<const double> b) const;
 
+  /// Solves L Y = B for a block of W right-hand sides stored column-minor
+  /// (b[r * W + j] is row r of column j) into `y`, laid out the same way
+  /// (b.size() == y.size() == order() * W, no aliasing). Column j undergoes
+  /// exactly the operations, in the same order, that solve_lower applies
+  /// to it alone, so each column is bit-identical to solve_lower's result.
+  /// The fixed width keeps the innermost loop over columns free of runtime
+  /// checks, so it vectorizes at -O2.
+  template <std::size_t W>
+  void solve_lower_block(std::span<const double> b, std::span<double> y) const {
+    const std::size_t n = order();
+    if (b.size() != n * W || y.size() != n * W) {
+      throw std::invalid_argument("Cholesky::solve_lower_block: size mismatch");
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      double* yr = y.data() + r * W;
+      std::copy_n(b.data() + r * W, W, yr);
+      for (std::size_t c = 0; c < r; ++c) {
+        subtract_scaled<W>(yr, l_(r, c), y.data() + c * W);
+      }
+      const double lrr = l_(r, r);
+      for (std::size_t j = 0; j < W; ++j) yr[j] /= lrr;
+    }
+  }
+
   /// log |A| = 2 sum_i log L_ii — needed by the GP marginal likelihood.
   double log_det() const;
 
@@ -71,6 +96,14 @@ class Cholesky {
 
  private:
   Cholesky() = default;  // for try_exact
+
+  // y[j] -= a * x[j] over one block row; the restrict-qualified parameters
+  // (distinct rows) let the loop vectorize without runtime alias checks.
+  template <std::size_t W>
+  static void subtract_scaled(double* __restrict y, double a,
+                              const double* __restrict x) {
+    for (std::size_t j = 0; j < W; ++j) y[j] -= a * x[j];
+  }
 
   bool try_factorize(const MatrixD& a, double jitter);
 

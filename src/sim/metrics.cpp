@@ -50,10 +50,7 @@ AcSweep run_ac(const circuit::Netlist& netlist, const std::string& out,
       std::unique(sweep.freqs_hz.begin(), sweep.freqs_hz.end()),
       sweep.freqs_hz.end());
 
-  sweep.transfer.reserve(sweep.freqs_hz.size());
-  for (double f : sweep.freqs_hz) {
-    sweep.transfer.push_back(solver.solve(f)[*out_node]);
-  }
+  sweep.transfer = solver.sweep(sweep.freqs_hz, *out_node);
   return sweep;
 }
 

@@ -103,55 +103,75 @@ AcSolver::AcSolver(const circuit::Netlist& netlist)
 }
 
 namespace {
-std::vector<std::complex<double>> node_voltages_from(
-    const std::vector<std::complex<double>>& x, std::size_t node_count) {
-  std::vector<std::complex<double>> voltages(node_count);
+using Cx = std::complex<double>;
+
+std::vector<Cx> node_voltages_from(const std::vector<Cx>& x,
+                                   std::size_t node_count) {
+  std::vector<Cx> voltages(node_count);
   voltages[0] = 0.0;
   for (std::size_t n = 1; n < node_count; ++n) voltages[n] = x[n - 1];
   return voltages;
 }
+
+double omega_of(double freq_hz) {
+  if (freq_hz < 0.0) throw std::invalid_argument("AcSolver: negative frequency");
+  return 2.0 * std::numbers::pi * freq_hz;
+}
+
+// Factorizes G + j*omega*C into `lu`, reusing its storage.
+void factor_system(const la::MatrixD& g, const la::MatrixD& c, double omega,
+                   la::Lu<Cx>& lu) {
+  const std::size_t n = g.rows();
+  lu.refactor(n, [&](la::MatrixC& a) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) a(i, j) = {g(i, j), omega * c(i, j)};
+    }
+  });
+}
 }  // namespace
 
-std::vector<std::complex<double>> AcSolver::solve(double freq_hz) const {
+std::vector<Cx> AcSolver::solve(double freq_hz) const {
   INTOOA_SPAN("sim.mna_solve");
-  if (freq_hz < 0.0) throw std::invalid_argument("AcSolver: negative frequency");
-  const double omega = 2.0 * std::numbers::pi * freq_hz;
-  la::MatrixC a(order_, order_);
-  for (std::size_t i = 0; i < order_; ++i) {
-    for (std::size_t j = 0; j < order_; ++j) {
-      a(i, j) = {g_(i, j), omega * c_(i, j)};
-    }
-  }
-  std::vector<std::complex<double>> b(order_);
-  for (std::size_t i = 0; i < order_; ++i) b[i] = rhs_[i];
-
-  const la::Lu<std::complex<double>> lu(std::move(a));
+  la::Lu<Cx> lu;
+  factor_system(g_, c_, omega_of(freq_hz), lu);
+  const std::vector<Cx> b(rhs_.begin(), rhs_.end());
   return node_voltages_from(lu.solve(b), node_count_);
 }
 
-std::vector<std::complex<double>> AcSolver::solve_current(
-    double freq_hz, circuit::NetNode inj_pos, circuit::NetNode inj_neg) const {
+std::vector<Cx> AcSolver::sweep(std::span<const double> freqs_hz,
+                                circuit::NetNode node) const {
+  if (node >= node_count_) throw std::out_of_range("AcSolver::sweep: bad node");
+  std::vector<Cx> out;
+  out.reserve(freqs_hz.size());
+  la::Lu<Cx> lu;
+  const std::vector<Cx> b(rhs_.begin(), rhs_.end());
+  std::vector<Cx> x(order_);
+  for (double f : freqs_hz) {
+    INTOOA_SPAN("sim.mna_solve");
+    factor_system(g_, c_, omega_of(f), lu);
+    lu.solve_into(b, x);
+    out.push_back(node == 0 ? Cx{} : x[node - 1]);
+  }
+  return out;
+}
+
+std::vector<Cx> AcSolver::solve_current(double freq_hz,
+                                        circuit::NetNode inj_pos,
+                                        circuit::NetNode inj_neg) const {
   INTOOA_SPAN("sim.mna_solve");
-  if (freq_hz < 0.0) throw std::invalid_argument("AcSolver: negative frequency");
+  const double omega = omega_of(freq_hz);
   if (inj_pos >= node_count_ || inj_neg >= node_count_) {
     throw std::out_of_range("AcSolver::solve_current: bad node");
   }
-  const double omega = 2.0 * std::numbers::pi * freq_hz;
-  la::MatrixC a(order_, order_);
-  for (std::size_t i = 0; i < order_; ++i) {
-    for (std::size_t j = 0; j < order_; ++j) {
-      a(i, j) = {g_(i, j), omega * c_(i, j)};
-    }
-  }
+  la::Lu<Cx> lu;
+  factor_system(g_, c_, omega, lu);
   // Independent sources zeroed (voltage sources become shorts via their
   // branch equations with 0 RHS); inject the unit current.
-  std::vector<std::complex<double>> b(order_, 0.0);
+  std::vector<Cx> b(order_, 0.0);
   const std::size_t ip = mna_index(inj_pos);
   const std::size_t in = mna_index(inj_neg);
   if (ip != kGround) b[ip] += 1.0;
   if (in != kGround) b[in] -= 1.0;
-
-  const la::Lu<std::complex<double>> lu(std::move(a));
   return node_voltages_from(lu.solve(b), node_count_);
 }
 

@@ -7,9 +7,10 @@
 //   (G + j*omega*C) x = b
 //
 // is assembled once as real G and C matrices and solved per frequency with
-// complex LU.
+// complex LU; a sweep refactorizes one LU in place across its frequencies.
 
 #include <complex>
+#include <span>
 #include <vector>
 
 #include "circuit/netlist.hpp"
@@ -32,6 +33,14 @@ class AcSolver {
   /// Throws la::SingularMatrixError when the system is singular at this
   /// frequency.
   std::vector<std::complex<double>> solve(double freq_hz) const;
+
+  /// Solves at every frequency of `freqs_hz` (each >= 0) and returns the
+  /// complex voltage of `node` at each, in order: element i is exactly
+  /// solve(freqs_hz[i])[node]. One matrix, LU and solution buffer serve
+  /// the whole sweep, so no point allocates. Throws like solve() at the
+  /// first failing frequency.
+  std::vector<std::complex<double>> sweep(std::span<const double> freqs_hz,
+                                          circuit::NetNode node) const;
 
   /// Solves with the independent sources zeroed and a unit AC current
   /// injected into `inj_pos` and drawn from `inj_neg` — the transimpedance

@@ -1,7 +1,9 @@
 #include "sim/noise.hpp"
 
 #include <cmath>
+#include <complex>
 #include <stdexcept>
+#include <vector>
 
 #include "la/grid.hpp"
 #include "sim/mna.hpp"
@@ -62,12 +64,16 @@ NoiseResult run_noise(const circuit::Netlist& netlist, const std::string& out,
 
   const AcSolver solver(netlist);
   const bool has_input = !netlist.vsources().empty();
-  for (double f : result.freqs_hz) {
-    const double sout = psd_at(solver, netlist, *out_node, f, options);
+  const std::vector<std::complex<double>> gain =
+      has_input ? solver.sweep(result.freqs_hz, *out_node)
+                : std::vector<std::complex<double>>{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double sout =
+        psd_at(solver, netlist, *out_node, result.freqs_hz[i], options);
     result.output_psd.push_back(sout);
     double sin_ref = 0.0;
     if (has_input) {
-      const double gain2 = std::norm(solver.solve(f)[*out_node]);
+      const double gain2 = std::norm(gain[i]);
       if (gain2 > 1e-24) sin_ref = sout / gain2;
     }
     result.input_psd.push_back(sin_ref);

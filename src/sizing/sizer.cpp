@@ -156,15 +156,12 @@ SizedResult Sizer::optimize(const circuit::Topology& topology,
     model.fit(xs, fit_targets, refit);
 
     // Candidate pool: half global uniform, half local Gaussian around the
-    // incumbent best.
+    // incumbent best. The whole pool is drawn first, in candidate order,
+    // then scored in blocks.
     const std::vector<double>& anchor = xs[best_idx];
-    std::vector<double> best_u;
-    double best_score = -1.0;
-    const bool have_feasible = points[best_idx].feasible;
-    const double best_objective = points[best_idx].objective();
-
+    la::MatrixD pool(config_.candidates, dim);
     for (std::size_t c = 0; c < config_.candidates; ++c) {
-      std::vector<double> u(dim);
+      const std::span<double> u = pool.row(c);
       if (c % 2 == 0) {
         for (auto& v : u) v = rng.uniform();
       } else {
@@ -172,26 +169,13 @@ SizedResult Sizer::optimize(const circuit::Topology& topology,
           u[k] = std::clamp(anchor[k] + rng.normal(0.0, 0.08), 0.0, 1.0);
         }
       }
-      const gp::JointPrediction pred = model.predict(u);
-      gp::WeiInputs in;
-      in.objective_mean = pred.mean[0];
-      in.objective_variance = pred.variance[0];
-      in.best_feasible = best_objective;
-      in.have_feasible = have_feasible;
-      std::array<double, circuit::Spec::kConstraintCount> cm{}, cv{};
-      for (std::size_t k = 0; k < cm.size(); ++k) {
-        cm[k] = pred.mean[k + 1];
-        cv[k] = pred.variance[k + 1];
-      }
-      in.constraint_means = cm;
-      in.constraint_variances = cv;
-      const double score = gp::weighted_ei(in);
-      if (score > best_score) {
-        best_score = score;
-        best_u = std::move(u);
-      }
     }
-    record(std::move(best_u));
+    const std::vector<double> scores =
+        gp::weighted_ei_pool(model.predict_pool(pool),
+                             points[best_idx].objective(),
+                             points[best_idx].feasible);
+    const auto best_u = pool.row(gp::select_best_candidate(scores, rng));
+    record(std::vector<double>(best_u.begin(), best_u.end()));
   }
 
   result.best = points[best_idx];

@@ -187,34 +187,6 @@ TEST(Candidates, Validation) {
                std::invalid_argument);
 }
 
-TEST(Candidates, SelectBestCandidate) {
-  util::Rng rng(62);
-  const std::vector<double> scores = {0.1, 0.7, 0.3};
-  EXPECT_EQ(select_best_candidate(scores, rng), 1u);
-
-  // Non-finite scores are dropped, never selected.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  const std::vector<double> mixed = {nan, 0.2, inf, 0.5};
-  EXPECT_EQ(select_best_candidate(mixed, rng), 3u);
-
-  // All-zero scores: ties break to the earliest index, as before.
-  const std::vector<double> zeros = {0.0, 0.0, 0.0};
-  EXPECT_EQ(select_best_candidate(zeros, rng), 0u);
-
-  // No finite score at all: deterministic fallback draw from the caller's
-  // rng instead of silently proposing index 0.
-  const std::vector<double> bad = {nan, inf, nan};
-  util::Rng a(7);
-  util::Rng b(7);
-  const std::size_t pick_a = select_best_candidate(bad, a);
-  const std::size_t pick_b = select_best_candidate(bad, b);
-  EXPECT_EQ(pick_a, pick_b);
-  EXPECT_LT(pick_a, bad.size());
-
-  EXPECT_THROW(select_best_candidate({}, rng), std::invalid_argument);
-}
-
 OptimizerConfig fast_optimizer() {
   OptimizerConfig config;
   config.init_topologies = 5;

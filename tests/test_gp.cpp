@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "gp/acquisition.hpp"
 #include "gp/fit_cache.hpp"
@@ -15,7 +19,9 @@
 #include "gp/wlgp.hpp"
 #include "graph/wl.hpp"
 #include "la/cholesky.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -427,6 +433,212 @@ TEST(Acquisition, WeightedEiValidatesSpans) {
   in.constraint_means = cm;
   in.constraint_variances = cv;
   EXPECT_THROW(weighted_ei(in), std::invalid_argument);
+}
+
+TEST(Acquisition, SelectBestCandidate) {
+  util::Rng rng(62);
+  const std::vector<double> scores = {0.1, 0.7, 0.3};
+  EXPECT_EQ(select_best_candidate(scores, rng), 1u);
+
+  // Non-finite scores are dropped, never selected.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> mixed = {nan, 0.2, inf, 0.5};
+  EXPECT_EQ(select_best_candidate(mixed, rng), 3u);
+
+  // All-zero scores: ties break to the earliest index, as before.
+  const std::vector<double> zeros = {0.0, 0.0, 0.0};
+  EXPECT_EQ(select_best_candidate(zeros, rng), 0u);
+
+  // No finite score at all: deterministic fallback draw from the caller's
+  // rng instead of silently proposing index 0.
+  const std::vector<double> bad = {nan, inf, nan};
+  util::Rng a(7);
+  util::Rng b(7);
+  const std::size_t pick_a = select_best_candidate(bad, a);
+  const std::size_t pick_b = select_best_candidate(bad, b);
+  EXPECT_EQ(pick_a, pick_b);
+  EXPECT_LT(pick_a, bad.size());
+
+  EXPECT_THROW(select_best_candidate({}, rng), std::invalid_argument);
+}
+
+TEST(Acquisition, NonFiniteScoresAreDroppedAndCounted) {
+  auto& dropped = obs::registry().counter("acquisition.nonfinite_scores");
+  const std::uint64_t before = dropped.value();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  // The ranking path (VGAE-BO sorts the finite scores best-first).
+  const std::vector<double> mixed = {0.3, nan, -inf, 0.9, nan, 0.1};
+  EXPECT_EQ(finite_candidates(mixed), (std::vector<std::size_t>{0, 3, 5}));
+  EXPECT_EQ(dropped.value(), before + 3);
+
+  // A finite pool keeps every index, in order, and counts nothing.
+  const std::vector<double> finite = {0.5, 0.0, 0.5, -0.0};
+  EXPECT_EQ(finite_candidates(finite),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(dropped.value(), before + 3);
+
+  // An all-NaN pool (the sizer's wEI when every prediction is NaN) still
+  // yields an in-range pick instead of an empty incumbent.
+  util::Rng rng(5);
+  const std::vector<double> all_nan(256, nan);
+  EXPECT_LT(select_best_candidate(all_nan, rng), all_nan.size());
+  EXPECT_TRUE(finite_candidates(all_nan).empty());
+  EXPECT_EQ(dropped.value(), before + 3 + 2 * 256);
+}
+
+// ---- Oracle: blocked pool scoring against the per-point reference predict
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// JointGp's fitted state rebuilt from the public fit inputs and selected
+// hyperparameters, with predict() exactly as it stood before blocked
+// scoring: one k* vector, one forward solve and one pass per output per
+// point.
+class ReferenceJointGp {
+ public:
+  ReferenceJointGp(const std::vector<std::vector<double>>& inputs,
+                   const std::vector<std::vector<double>>& targets,
+                   const GpHyper& hyper)
+      : inputs_(inputs), hyper_(hyper) {
+    const std::size_t n = inputs.size();
+    const std::size_t m = targets.front().size();
+    y_mean_.assign(m, 0.0);
+    y_scale_.assign(m, 1.0);
+    std::vector<std::vector<double>> y_std(m, std::vector<double>(n));
+    for (std::size_t k = 0; k < m; ++k) {
+      std::vector<double> col(n);
+      for (std::size_t i = 0; i < n; ++i) col[i] = targets[i][k];
+      y_mean_[k] = util::mean(col);
+      const double sd = util::stddev(col);
+      y_scale_[k] = sd > 1e-12 ? sd : 1.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        y_std[k][i] = (col[i] - y_mean_[k]) / y_scale_[k];
+      }
+    }
+    la::MatrixD gram(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i; j < n; ++j) {
+        const double k = kernel(inputs_[i], inputs_[j]);
+        gram(i, j) = k;
+        gram(j, i) = k;
+      }
+      gram(i, i) += hyper_.noise_variance;
+    }
+    chol_ = std::make_unique<la::Cholesky>(gram);
+    for (const auto& y : y_std) alpha_.push_back(chol_->solve(y));
+  }
+
+  JointPrediction predict(std::span<const double> x) const {
+    const std::size_t n = inputs_.size();
+    const std::size_t m = y_mean_.size();
+    std::vector<double> kvec(n);
+    for (std::size_t i = 0; i < n; ++i) kvec[i] = kernel(inputs_[i], x);
+    const auto v = chol_->solve_lower(kvec);
+    double quad = 0.0;
+    for (double vi : v) quad += vi * vi;
+    const double var_std = std::max(0.0, hyper_.signal_variance - quad);
+    JointPrediction out;
+    out.mean.resize(m);
+    out.variance.resize(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      double mean_std = 0.0;
+      for (std::size_t i = 0; i < n; ++i) mean_std += kvec[i] * alpha_[k][i];
+      out.mean[k] = mean_std * y_scale_[k] + y_mean_[k];
+      out.variance[k] = var_std * y_scale_[k] * y_scale_[k];
+    }
+    return out;
+  }
+
+ private:
+  double kernel(std::span<const double> a, std::span<const double> b) const {
+    double d2 = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const double d = a[i] - b[i];
+      d2 += d * d;
+    }
+    const double ls = hyper_.lengthscale;
+    return std::exp(-0.5 * d2 / (ls * ls));
+  }
+
+  std::vector<std::vector<double>> inputs_;
+  GpHyper hyper_;
+  std::unique_ptr<la::Cholesky> chol_;
+  std::vector<std::vector<double>> alpha_;
+  std::vector<double> y_mean_;
+  std::vector<double> y_scale_;
+};
+
+TEST(JointGpOracle, PoolScoringMatchesReferencePredictBitwise) {
+  util::Rng rng(4242);
+  constexpr std::size_t kDim = 7;
+  constexpr std::size_t kOutputs = 5;  // objective + 4 constraint margins
+  for (const std::size_t n : {2u, 20u, 40u}) {
+    std::vector<std::vector<double>> xs(n, std::vector<double>(kDim));
+    std::vector<std::vector<double>> ys(n, std::vector<double>(kOutputs));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (auto& v : xs[i]) v = rng.uniform();
+      for (std::size_t k = 0; k < kOutputs; ++k) {
+        ys[i][k] = std::sin(3.0 * xs[i][k % kDim]) + 0.1 * rng.normal();
+      }
+    }
+    ys[0][2] = ys[1][2] = 10.0;  // a near-constant, clamped-margin column
+    JointGp gp;
+    gp.fit(xs, ys, true);
+    const ReferenceJointGp ref(xs, ys, gp.hyper());
+    for (const std::size_t count : {1u, 31u, 32u, 33u, 100u, 257u}) {
+      la::MatrixD pool(count, kDim);
+      for (std::size_t c = 0; c < count; ++c) {
+        for (std::size_t d = 0; d < kDim; ++d) {
+          // Mostly inside the unit cube, some candidates on training
+          // points and some far outside.
+          pool(c, d) = c % 9 == 4   ? xs[c % n][d]
+                       : c % 9 == 7 ? rng.uniform(-3.0, 4.0)
+                                    : rng.uniform();
+        }
+      }
+      const PoolPrediction got = gp.predict_pool(pool);
+      ASSERT_EQ(got.outputs, kOutputs);
+      ASSERT_EQ(got.mean.size(), count * kOutputs);
+      const std::vector<double> scores = weighted_ei_pool(got, 0.2, true);
+      for (std::size_t c = 0; c < count; ++c) {
+        SCOPED_TRACE("n " + std::to_string(n) + " count " +
+                     std::to_string(count) + " candidate " + std::to_string(c));
+        const JointPrediction want = ref.predict(pool.row(c));
+        const JointPrediction single = gp.predict(pool.row(c));
+        for (std::size_t k = 0; k < kOutputs; ++k) {
+          ASSERT_TRUE(same_bits(got.mean_of(c)[k], want.mean[k]));
+          ASSERT_TRUE(same_bits(got.variance_of(c)[k], want.variance[k]));
+          ASSERT_TRUE(same_bits(single.mean[k], want.mean[k]));
+          ASSERT_TRUE(same_bits(single.variance[k], want.variance[k]));
+        }
+        // The per-candidate acquisition loop's wEI, built through a fixed array.
+        WeiInputs in;
+        in.objective_mean = want.mean[0];
+        in.objective_variance = want.variance[0];
+        in.best_feasible = 0.2;
+        in.have_feasible = true;
+        std::array<double, kOutputs - 1> cm{}, cv{};
+        for (std::size_t k = 0; k < cm.size(); ++k) {
+          cm[k] = want.mean[k + 1];
+          cv[k] = want.variance[k + 1];
+        }
+        in.constraint_means = cm;
+        in.constraint_variances = cv;
+        ASSERT_TRUE(same_bits(scores[c], weighted_ei(in)));
+      }
+    }
+  }
+}
+
+TEST(JointGpOracle, PoolValidation) {
+  JointGp gp;
+  EXPECT_THROW(gp.predict_pool(la::MatrixD(3, 2)), std::logic_error);
+  gp.fit({{0.1, 0.2}, {0.8, 0.4}, {0.5, 0.9}}, {{1.0}, {2.0}, {0.5}}, true);
+  EXPECT_THROW(gp.predict_pool(la::MatrixD(3, 4)), std::invalid_argument);
+  EXPECT_TRUE(gp.predict_pool(la::MatrixD(0, 2)).mean.empty());
 }
 
 }  // namespace

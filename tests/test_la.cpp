@@ -6,12 +6,17 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "la/cholesky.hpp"
 #include "la/eigen.hpp"
 #include "la/grid.hpp"
 #include "la/lu.hpp"
 #include "la/matrix.hpp"
+#include "reference_lu.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -148,6 +153,225 @@ TEST(Lu, MatrixSolve) {
   const MatrixD prod = a.matmul(inv);
   EXPECT_NEAR(prod(0, 0), 1.0, 1e-12);
   EXPECT_NEAR(prod(0, 1), 0.0, 1e-12);
+}
+
+// ---- Oracle: the zero-aware Lu against the plain reference algorithm
+
+// Kinds of oracle matrix: sparse finite, sparse with subnormals, sparse with
+// infinities/NaNs, and singular.
+enum class OracleKind { Sparse, Subnormal, NonFinite, Singular };
+
+double signed_zero(intooa::util::Rng& rng) {
+  return rng.uniform() < 0.5 ? 0.0 : -0.0;
+}
+
+// A zero in a random one of its sign patterns.
+template <typename T>
+T oracle_zero(intooa::util::Rng& rng) {
+  if constexpr (std::is_same_v<T, double>) {
+    return signed_zero(rng);
+  } else {
+    return {signed_zero(rng), signed_zero(rng)};
+  }
+}
+
+template <typename T>
+T oracle_entry(intooa::util::Rng& rng, OracleKind kind) {
+  auto value = [&] {
+    const double sign = rng.uniform() < 0.5 ? -1.0 : 1.0;
+    if (kind == OracleKind::Subnormal && rng.uniform() < 0.3) {
+      return sign * std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(1 + rng.index(1u << 20));
+    }
+    return sign * std::exp(rng.uniform(-8.0, 8.0));
+  };
+  const double u = rng.uniform();
+  if (u < 0.55) return oracle_zero<T>(rng);
+  if constexpr (std::is_same_v<T, double>) {
+    return value();
+  } else {
+    if (u < 0.70) return {value(), signed_zero(rng)};
+    if (u < 0.80) return {signed_zero(rng), value()};
+    return {value(), value()};
+  }
+}
+
+template <typename T>
+Matrix<T> oracle_matrix(intooa::util::Rng& rng, std::size_t n,
+                        OracleKind kind) {
+  Matrix<T> a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) a(i, j) = oracle_entry<T>(rng, kind);
+    if (rng.uniform() < 0.7) a(i, i) += T{4.0};
+  }
+  if (kind == OracleKind::NonFinite) {
+    const double specials[] = {std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN(),
+                               -std::numeric_limits<double>::quiet_NaN()};
+    const std::size_t count = 1 + rng.index(2);
+    for (std::size_t k = 0; k < count; ++k) {
+      T& e = a(rng.index(n), rng.index(n));
+      const double s = specials[rng.index(4)];
+      if constexpr (std::is_same_v<T, double>) {
+        e = s;
+      } else {
+        e = rng.uniform() < 0.5 ? T{s, e.imag()} : T{e.real(), s};
+      }
+    }
+  }
+  if (kind == OracleKind::Singular) {
+    const std::size_t r = rng.index(n);
+    switch (rng.index(3)) {
+      case 0:  // a row of signed zeros
+        for (std::size_t c = 0; c < n; ++c) a(r, c) = oracle_zero<T>(rng);
+        break;
+      case 1:  // a duplicated row
+        for (std::size_t c = 0; c < n; ++c) a(r, c) = a((r + 1) % n, c);
+        break;
+      default:  // the zero matrix, every entry a signed zero
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            a(i, j) = oracle_zero<T>(rng);
+          }
+        }
+    }
+  }
+  return a;
+}
+
+// Factorizes `a` with the reference algorithm and with both Lu entry points (a
+// fresh Lu, and `reused` refactored in place), then checks that they throw
+// the same message or give bit-identical solutions and determinants.
+// Returns whether the reference factorized.
+template <typename T>
+bool expect_matches_reference(const Matrix<T>& a, const std::vector<T>& b,
+                              Lu<T>& reused) {
+  using intooa::oracle::same_bits;
+  std::optional<intooa::oracle::ReferenceLu<T>> ref;
+  std::string ref_error;
+  try {
+    ref.emplace(a);
+  } catch (const SingularMatrixError& e) {
+    ref_error = e.what();
+  }
+  std::optional<Lu<T>> fresh;
+  std::string fresh_error;
+  try {
+    fresh.emplace(a);
+  } catch (const SingularMatrixError& e) {
+    fresh_error = e.what();
+  }
+  std::string reused_error;
+  bool reused_ok = true;
+  try {
+    reused.refactor(a.rows(), [&](Matrix<T>& m) { m = a; });
+  } catch (const SingularMatrixError& e) {
+    reused_error = e.what();
+    reused_ok = false;
+  }
+  EXPECT_EQ(ref.has_value(), fresh.has_value()) << ref_error << fresh_error;
+  EXPECT_EQ(ref.has_value(), reused_ok) << ref_error << reused_error;
+  if (!ref || !fresh || !reused_ok) {
+    EXPECT_EQ(fresh_error, ref_error);
+    EXPECT_EQ(reused_error, ref_error);
+    return ref.has_value();
+  }
+  const std::vector<T> want = ref->solve(b);
+  const std::vector<T> got = fresh->solve(b);
+  std::vector<T> got_reused(b.size());
+  reused.solve_into(b, got_reused);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_TRUE(same_bits(want[i], got[i])) << "x[" << i << "]";
+    EXPECT_TRUE(same_bits(want[i], got_reused[i])) << "reused x[" << i << "]";
+  }
+  const T det = ref->determinant();
+  EXPECT_TRUE(same_bits(det, fresh->determinant()));
+  EXPECT_TRUE(same_bits(det, reused.determinant()));
+  return true;
+}
+
+template <typename T>
+void run_lu_oracle(std::uint64_t seed) {
+  intooa::util::Rng rng(seed);
+  Lu<T> reused;
+  const OracleKind kinds[] = {OracleKind::Sparse, OracleKind::Subnormal,
+                              OracleKind::NonFinite, OracleKind::Singular};
+  int factorized = 0;
+  const int trials = 1500;
+  for (int trial = 0; trial < trials; ++trial) {
+    const OracleKind kind = kinds[trial % 4];
+    const std::size_t n = 1 + rng.index(14);
+    const Matrix<T> a = oracle_matrix<T>(rng, n, kind);
+    std::vector<T> b(n);
+    for (auto& v : b) v = oracle_entry<T>(rng, OracleKind::Sparse);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    if (expect_matches_reference(a, b, reused)) ++factorized;
+  }
+  // Both outcomes are exercised: the singular quarter throws.
+  EXPECT_GT(factorized, trials / 2);
+  EXPECT_LT(factorized, trials);
+}
+
+TEST(LuOracle, ComplexMatchesReferenceBitwise) { run_lu_oracle<Cx>(2024); }
+
+TEST(LuOracle, RealMatchesReferenceBitwise) { run_lu_oracle<double>(2025); }
+
+TEST(LuOracle, EverySignPatternOfZeroNumerators) {
+  // A column whose sub-pivot entries are ±0 ± 0i in all four sign patterns,
+  // below finite, signed-zero-laden, infinite and NaN pivots.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Cx pivots[] = {{3.0, -2.0}, {0.0, -1.5}, {-2.5, -0.0},
+                       {1e-300, 1e300}, {inf, 1.0}, {nan, 0.0}};
+  Lu<Cx> reused;
+  for (const Cx pivot : pivots) {
+    MatrixC a(5, 5);
+    a(0, 0) = pivot;
+    a(1, 0) = {0.0, 0.0};
+    a(2, 0) = {-0.0, 0.0};
+    a(3, 0) = {0.0, -0.0};
+    a(4, 0) = {-0.0, -0.0};
+    for (std::size_t i = 1; i < 5; ++i) {
+      a(i, i) = {0.5 * static_cast<double>(i), 0.0};
+      a(0, i) = {0.0, -1.0};
+    }
+    // The stored quotients' zero signs only surface where the forward
+    // substitution meets zeros, hence the all-signed-zero right-hand side.
+    const std::vector<Cx> b = {{1.0, 0.0}, {0.0, -0.0}, {-1.0, 2.0},
+                               {0.0, 0.0}, {-0.0, 1.0}};
+    const std::vector<Cx> zeros = {{0.0, -0.0}, {-0.0, 0.0}, {-0.0, -0.0},
+                                   {0.0, 0.0}, {-0.0, -0.0}};
+    SCOPED_TRACE(pivot.real());
+    expect_matches_reference(a, b, reused);
+    expect_matches_reference(a, zeros, reused);
+  }
+}
+
+TEST(LuOracle, AbsOfMatchesStdAbsOnSpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double dmin = std::numeric_limits<double>::denorm_min();
+  const double nmin = std::numeric_limits<double>::min();
+  const double big = std::numeric_limits<double>::max();
+  const double values[] = {0.0,  -0.0, dmin, -dmin, nmin, -nmin, 1.0,
+                           -1.0, 3.0,  -4.0, big,  -big, inf,  -inf,
+                           nan,  -nan};
+  for (const double re : values) {
+    for (const double im : values) {
+      const Cx z(re, im);
+      const double want = std::abs(z);
+      const double got = intooa::la::detail::abs_of(z);
+      if (std::isnan(want)) {
+        // A NaN magnitude is only ever compared, never stored, so its
+        // sign bit is immaterial.
+        EXPECT_TRUE(std::isnan(got)) << re << " " << im;
+      } else {
+        EXPECT_TRUE(intooa::oracle::same_bits(want, got))
+            << re << " " << im << ": " << want << " vs " << got;
+      }
+    }
+  }
 }
 
 TEST(Cholesky, SolveAndLogDet) {

@@ -18,6 +18,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/campaign.hpp"
@@ -471,6 +472,62 @@ TEST(Trace, SpanNestingProducesBalancedTrace) {
   EXPECT_EQ(obs::registry().histogram("test.outer").snapshot().count, 1u);
   EXPECT_EQ(obs::registry().histogram("test.outer").unit(),
             obs::Unit::Nanoseconds);
+}
+
+TEST(Trace, SpanSitesCountExactlyAcrossThreads) {
+  obs::set_enabled(true);
+  const auto names = [] {
+    std::set<std::string> out;
+    for (const auto& entry : obs::snapshot().histograms) out.insert(entry.first);
+    return out;
+  };
+  // A site that only ever finishes with telemetry off resolves nothing and
+  // creates no histogram.
+  obs::set_enabled(false);
+  for (int i = 0; i < 3; ++i) {
+    INTOOA_SPAN("test.span_site.disabled");
+  }
+  obs::set_enabled(true);
+  const std::set<std::string> before = names();
+  EXPECT_EQ(before.count("test.span_site.disabled"), 0u);
+
+  // Four threads race the first finish of one site, then keep hitting it.
+  constexpr int kThreads = 4;
+  constexpr int kSpansPerThread = 5000;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&ready] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int i = 0; i < kSpansPerThread; ++i) {
+        INTOOA_SPAN("test.span_site.threads");
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const obs::MetricsSnapshot snap = obs::snapshot();
+  const auto it = snap.histograms.find("test.span_site.threads");
+  ASSERT_NE(it, snap.histograms.end());
+  EXPECT_EQ(it->second.count,
+            static_cast<std::uint64_t>(kThreads) * kSpansPerThread);
+  EXPECT_EQ(it->second.unit, "ns");
+  // The snapshot gained exactly the one name, as an uncached lookup per
+  // finish would have created.
+  std::set<std::string> expected = before;
+  expected.insert("test.span_site.threads");
+  EXPECT_EQ(names(), expected);
+
+  // The cache survives a registry reset: the next finish lands in the same
+  // (zeroed) histogram.
+  obs::registry().reset();
+  for (int i = 0; i < 7; ++i) {
+    INTOOA_SPAN("test.span_site.threads");
+  }
+  EXPECT_EQ(obs::registry().histogram("test.span_site.threads").snapshot().count,
+            7u);
 }
 
 TEST(Trace, CapacityBoundDropsAndCounts) {

@@ -5,12 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "circuit/behavioral.hpp"
 #include "circuit/library.hpp"
 #include "sim/metrics.hpp"
 #include "sim/mna.hpp"
+#include "la/grid.hpp"
+#include "reference_lu.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -287,6 +293,112 @@ TEST(Metrics, NonFiniteResponseFails) {
   const auto perf = extract_performance(sweep, 0.0);
   EXPECT_FALSE(perf.valid);
   EXPECT_NE(perf.failure.find("non-finite"), std::string::npos);
+}
+
+// ---- Oracle: the allocation-free sweep against the per-point reference solve
+
+using Cx = std::complex<double>;
+
+// AcSolver::solve(f)[node] exactly as it stood before the sweep: assemble
+// G + j*omega*C, factorize with the reference LU, solve against the source
+// vector rebuilt from the netlist.
+Cx reference_solve(const AcSolver& solver, const circuit::Netlist& net, double f,
+              circuit::NetNode node) {
+  const std::size_t n = solver.order();
+  const double omega = 2.0 * std::numbers::pi * f;
+  la::MatrixC a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      a(i, j) = {solver.conductance()(i, j), omega * solver.capacitance()(i, j)};
+    }
+  }
+  std::vector<Cx> b(n);
+  const std::size_t nv = net.node_count() - 1;
+  for (std::size_t k = 0; k < net.vsources().size(); ++k) {
+    b[nv + k] = net.vsources()[k].amplitude;
+  }
+  const oracle::ReferenceLu<Cx> lu(std::move(a));
+  const auto x = lu.solve(b);
+  return node == 0 ? Cx{} : x[node - 1];
+}
+
+TEST(AcSweepOracle, MatchesReferencePerFrequencySolveOnRandomTopologies) {
+  util::Rng rng(77);
+  const circuit::BehavioralConfig cfg;
+  AcOptions opts;
+  opts.check_stability = false;  // unstable designs are swept too
+  std::size_t swept = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto topo = circuit::Topology::random(rng);
+    const auto schema = circuit::make_schema(topo, cfg);
+    std::vector<double> unit(schema.size());
+    for (auto& u : unit) u = rng.uniform();
+    const auto net = circuit::build_behavioral(topo, schema.from_unit(unit), cfg);
+    const auto out = *net.find_node("vout");
+    const AcSolver solver(net);
+    SCOPED_TRACE(topo.to_string());
+    // The full grid of run_ac (log grid plus resonance refinements).
+    AcSweep sweep;
+    try {
+      sweep = run_ac(net, "vout", opts);
+    } catch (const la::SingularMatrixError& e) {
+      // The reference must fail at some grid point with the same message.
+      bool threw = false;
+      for (double f : la::logspace(opts.f_min_hz, opts.f_max_hz, 193)) {
+        try {
+          reference_solve(solver, net, f, out);
+        } catch (const la::SingularMatrixError& ref) {
+          EXPECT_EQ(std::string(ref.what()), e.what());
+          threw = true;
+          break;
+        }
+      }
+      EXPECT_TRUE(threw);
+      continue;
+    }
+    ASSERT_EQ(sweep.transfer.size(), sweep.freqs_hz.size());
+    const auto direct = solver.sweep(sweep.freqs_hz, out);
+    for (std::size_t i = 0; i < sweep.freqs_hz.size(); ++i) {
+      const Cx want = reference_solve(solver, net, sweep.freqs_hz[i], out);
+      ASSERT_TRUE(oracle::same_bits(want, sweep.transfer[i]))
+          << "f = " << sweep.freqs_hz[i];
+      ASSERT_TRUE(oracle::same_bits(want, direct[i]));
+      ASSERT_TRUE(oracle::same_bits(want, solver.solve(sweep.freqs_hz[i])[out]));
+    }
+    ++swept;
+  }
+  EXPECT_GT(swept, 30u);
+}
+
+TEST(AcSweepOracle, SingularPointThrowsLikeTheReference) {
+  // A node reached only through a capacitor floats at DC: the sweep throws
+  // at f = 0 with the reference's message, and solves the later points.
+  circuit::Netlist net;
+  const auto in = net.node("in");
+  const auto mid = net.node("mid");
+  net.add_vsource("src", in, 0, 1.0);
+  net.add_capacitor("c1", in, mid, 1e-12);
+  const AcSolver solver(net);
+  std::string reference_error;
+  try {
+    reference_solve(solver, net, 0.0, mid);
+  } catch (const la::SingularMatrixError& e) {
+    reference_error = e.what();
+  }
+  ASSERT_FALSE(reference_error.empty());
+  const std::vector<double> freqs = {0.0, 1e3};
+  try {
+    solver.sweep(freqs, mid);
+    ADD_FAILURE() << "sweep did not throw";
+  } catch (const la::SingularMatrixError& e) {
+    EXPECT_EQ(std::string(e.what()), reference_error);
+  }
+  const std::vector<double> later = {1e3, 1e6};
+  const auto v = solver.sweep(later, mid);
+  for (std::size_t i = 0; i < later.size(); ++i) {
+    EXPECT_TRUE(oracle::same_bits(v[i], reference_solve(solver, net, later[i], mid)));
+  }
+  EXPECT_THROW(solver.sweep(later, 99), std::out_of_range);
 }
 
 }  // namespace
