@@ -9,8 +9,8 @@
 
 #include <cstdio>
 
-#include "common/campaign.hpp"
-#include "common/drain.hpp"
+#include "campaign/campaign.hpp"
+#include "campaign/drain.hpp"
 #include "core/optimizer.hpp"
 #include "obs/telemetry.hpp"
 #include "svc/remote_backend.hpp"
@@ -20,10 +20,10 @@
 
 int main(int argc, char** argv) {
   using namespace intooa;
-  using namespace intooa::bench;
+  using namespace intooa::campaign;
 
   const util::Cli cli(argc, argv);
-  bench::reject_unknown_flags(cli, {"spec"});
+  campaign::reject_unknown_flags(cli, {"spec"});
   install_drain_handler();
   obs::BenchTelemetry telemetry(
       obs::TelemetryOptions::from_cli(cli, util::LogLevel::Info));

@@ -10,7 +10,7 @@
 
 #include "circuit/behavioral.hpp"
 #include "circuit/circuit_graph.hpp"
-#include "common/campaign.hpp"
+#include "campaign/campaign.hpp"
 #include "sim/metrics.hpp"
 #include "sizing/evaluate.hpp"
 #include "obs/telemetry.hpp"
@@ -19,10 +19,10 @@
 
 int main(int argc, char** argv) {
   using namespace intooa;
-  using namespace intooa::bench;
+  using namespace intooa::campaign;
 
   const util::Cli cli(argc, argv);
-  bench::reject_unknown_flags(cli, {"spec"});
+  campaign::reject_unknown_flags(cli, {"spec"});
   obs::BenchTelemetry telemetry(
       obs::TelemetryOptions::from_cli(cli, util::LogLevel::Info));
   const BenchOptions options = BenchOptions::from_cli(cli);

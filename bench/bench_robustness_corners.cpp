@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "common/campaign.hpp"
+#include "campaign/campaign.hpp"
 #include "sizing/corners.hpp"
 #include "obs/telemetry.hpp"
 #include "util/log.hpp"
@@ -16,10 +16,10 @@
 
 int main(int argc, char** argv) {
   using namespace intooa;
-  using namespace intooa::bench;
+  using namespace intooa::campaign;
 
   const util::Cli cli(argc, argv);
-  bench::reject_unknown_flags(cli, {"spec"});
+  campaign::reject_unknown_flags(cli, {"spec"});
   obs::BenchTelemetry telemetry(
       obs::TelemetryOptions::from_cli(cli, util::LogLevel::Info));
   const BenchOptions options = BenchOptions::from_cli(cli);

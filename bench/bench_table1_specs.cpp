@@ -9,7 +9,7 @@
 
 #include "circuit/rules.hpp"
 #include "circuit/spec.hpp"
-#include "common/campaign.hpp"
+#include "campaign/campaign.hpp"
 #include "obs/telemetry.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -18,10 +18,10 @@ int main(int argc, char** argv) {
   using namespace intooa;
 
   const util::Cli cli(argc, argv);
-  bench::reject_unknown_flags(cli);
+  campaign::reject_unknown_flags(cli);
   obs::BenchTelemetry telemetry(
       obs::TelemetryOptions::from_cli(cli, util::LogLevel::Info));
-  if (const auto store = bench::open_store_from_cli(cli)) {
+  if (const auto store = campaign::open_store_from_cli(cli)) {
     std::printf("evaluation store %s: %zu record(s)\n\n",
                 store->path().c_str(), store->size());
   }

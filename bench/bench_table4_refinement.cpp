@@ -44,16 +44,16 @@ void describe(const char* original, const char* refined,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace intooa::bench;
+  using namespace intooa::campaign;
 
   const util::Cli cli(argc, argv);
-  bench::reject_unknown_flags(cli);
+  campaign::reject_unknown_flags(cli);
   obs::BenchTelemetry telemetry(
       obs::TelemetryOptions::from_cli(cli, util::LogLevel::Info));
   const BenchOptions options = BenchOptions::from_cli(cli);
 
-  const RefinementFlow flow =
-      run_refinement_flow(options.params, options.store, options.remote);
+  const bench::RefinementFlow flow = bench::run_refinement_flow(
+      options.params, options.store, options.remote);
 
   std::printf(
       "\nTABLE IV: Behavior-level Op-amp Performance before and after "

@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "common/campaign.hpp"
+#include "campaign/campaign.hpp"
 #include "common/refine_flow.hpp"
 #include "sizing/evaluate.hpp"
 #include "obs/telemetry.hpp"
@@ -18,10 +18,10 @@
 
 int main(int argc, char** argv) {
   using namespace intooa;
-  using namespace intooa::bench;
+  using namespace intooa::campaign;
 
   const util::Cli cli(argc, argv);
-  bench::reject_unknown_flags(cli, {"spec", "skip-refined"});
+  campaign::reject_unknown_flags(cli, {"spec", "skip-refined"});
   obs::BenchTelemetry telemetry(
       obs::TelemetryOptions::from_cli(cli, util::LogLevel::Info));
   const BenchOptions options = BenchOptions::from_cli(cli);
@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
 
   // Refined designs (S-5 rows at the bottom of the paper's Table V).
   if (!cli.has("skip-refined") && (only_spec.empty() || only_spec == "S-5")) {
-    const RefinementFlow flow =
-        run_refinement_flow(options.params, options.store, options.remote);
+    const bench::RefinementFlow flow = bench::run_refinement_flow(
+        options.params, options.store, options.remote);
     sizing::EvalContext ctx(circuit::spec_by_name("S-5"));
     for (const auto& [name, result] :
          {std::pair<const char*, const core::RefineResult*>{"R1", &flow.c1},

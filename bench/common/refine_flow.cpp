@@ -7,7 +7,7 @@
 
 namespace intooa::bench {
 
-RefinementFlow run_refinement_flow(const CampaignParams& params,
+RefinementFlow run_refinement_flow(const campaign::CampaignParams& params,
                                    std::shared_ptr<store::EvalStore> store,
                                    std::shared_ptr<svc::ClientPool> remote) {
   const circuit::Spec& spec = circuit::spec_by_name("S-5");

@@ -4,7 +4,7 @@
 // trusted sizings for the library designs C1 [19] and C2 [20], and refine
 // each with the gradient-guided single-slot procedure.
 
-#include "common/campaign.hpp"
+#include "campaign/campaign.hpp"
 #include "core/refine.hpp"
 
 namespace intooa::bench {
@@ -24,7 +24,7 @@ struct RefinementFlow {
 /// evaluation store; a non-null `remote` additionally shards store misses
 /// across the --remote service endpoints.
 RefinementFlow run_refinement_flow(
-    const CampaignParams& params,
+    const campaign::CampaignParams& params,
     std::shared_ptr<store::EvalStore> store = nullptr,
     std::shared_ptr<svc::ClientPool> remote = nullptr);
 

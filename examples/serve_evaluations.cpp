@@ -1,7 +1,7 @@
 // Serving walkthrough: the evaluation service end to end, in one process.
 //   1. Start an svc::Server on a Unix-domain socket (the same engine as
 //      the intooa-served daemon), backed by a persistent evaluation store.
-//   2. Connect an svc::Client, handshake, and evaluate a topology remotely.
+//   2. Open an api::Session on it and evaluate a topology remotely.
 //   3. Show the determinism contract: the served record bytes are
 //      byte-identical to the same evaluation run in-process.
 //   4. Ask again — the answer now comes from the warm memory tier.
@@ -20,11 +20,11 @@
 #include <filesystem>
 #include <thread>
 
+#include "api/session.hpp"
 #include "core/eval_key.hpp"
 #include "sizing/sizer.hpp"
 #include "store/record_io.hpp"
 #include "store/store.hpp"
-#include "svc/client.hpp"
 #include "svc/server.hpp"
 #include "util/rng.hpp"
 
@@ -48,23 +48,31 @@ int main() {
   server.bind();  // endpoint is live before any client dials
   std::thread server_thread([&server] { server.run(); });
 
-  // --- 2. A client: handshake + one remote evaluation. -------------------
-  svc::Client client;
-  client.connect(server.config().address);
+  // --- 2. A session: one remote evaluation. ------------------------------
+  api::SessionConfig session_config;
+  session_config.evaluators = {server.config().address};
+  api::Session session(std::move(session_config));
 
   svc::EvalRequest request;
-  request.request_id = 1;
   request.spec = circuit::spec_by_name("S-1");
   request.sizing.init_points = 3;  // tiny budget to keep the demo quick
   request.sizing.iterations = 3;
   request.sizing.candidates = 32;
   request.topology_index = 5;
 
-  svc::Reply reply = client.evaluate(request);
-  const store::StoredRecord served = svc::decode_response_record(reply.response);
+  const api::Expected<api::EvaluationOutcome> served =
+      session.evaluations().evaluate(request);
+  if (!served.ok()) {
+    std::fprintf(stderr, "remote eval failed: %s\n",
+                 served.error().message.c_str());
+    server.begin_drain();
+    server_thread.join();
+    return 1;
+  }
+  const core::EvalRecord& record = served.value().record.record;
   std::printf("remote eval: topology #%llu, FoM=%.2f, %zu simulations\n",
               static_cast<unsigned long long>(request.topology_index),
-              served.record.sized.best.fom, served.record.sized.simulations);
+              record.sized.best.fom, record.sized.simulations);
 
   // --- 3. Byte-identical to the in-process evaluation. -------------------
   const sizing::EvalContext ctx = request.eval_context();
@@ -77,20 +85,21 @@ int main() {
   local.topology = topology;
   local.sized = sizing::Sizer(ctx, request.sizing).size(topology, sizing_rng);
   std::printf("byte-identical to in-process: %s\n",
-              store::encode_record(key, local) == reply.response.record_payload
+              store::encode_record(key, local) ==
+                      served.value().record_payload
                   ? "yes"
                   : "NO (bug!)");
 
   // --- 4. The second ask is served warm. ---------------------------------
-  request.request_id = 2;
-  reply = client.evaluate(request);
+  const api::Expected<api::EvaluationOutcome> again =
+      session.evaluations().evaluate(request);
   std::printf("second ask served from: %s\n",
-              reply.response.served_from == svc::ServedFrom::Memory
+              again.ok() && again.value().served_from == svc::ServedFrom::Memory
                   ? "memory cache"
                   : "elsewhere");
 
   // --- 5. Graceful drain (SIGTERM's path in intooa-served). --------------
-  client.close();
+  session.close();
   server.begin_drain();
   server_thread.join();
   const svc::ServerStats stats = server.stats();

@@ -3,11 +3,10 @@
 // Every failure a caller can see — dial refused, handshake rejected, queue
 // full, unknown job id, malformed JSON — is one Error: a code from a small
 // closed enum, a human message, and (for backpressure shapes) the server's
-// retry hint. The taxonomy replaces the per-subsystem string errors that
-// svc::Client and sched::JobClient used to throw at callers: the transport
-// layers now throw typed exceptions (svc::TransportError, svc::RemoteError)
-// and api::Session maps them here, so nothing above this layer ever parses
-// an error message to decide behavior.
+// retry hint. The transport layers throw typed exceptions
+// (svc::TransportError, svc::RemoteError) and api::Session maps them here,
+// so nothing above this layer ever parses an error message to decide
+// behavior.
 //
 // Three deterministic mappings hang off the code, used verbatim by the CLI
 // and the HTTP gateway (docs/GATEWAY.md tabulates all three):

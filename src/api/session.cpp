@@ -2,6 +2,7 @@
 
 #include "circuit/topology.hpp"
 #include "core/eval_key.hpp"
+#include "svc/connection_host.hpp"
 
 namespace intooa::api {
 
@@ -20,7 +21,6 @@ void Session::close() {
     pool = std::move(pool_);
   }
   if (pool) pool->close();
-  drop_stats_client();
   drop_job_client();
 }
 
@@ -40,22 +40,6 @@ Expected<svc::ClientPool*> Session::eval_pool() {
   return pool_.get();
 }
 
-Expected<svc::Client*> Session::stats_client() {
-  if (stats_client_ && stats_client_->connected()) return stats_client_.get();
-  if (config_.evaluators.empty()) {
-    return Error{ErrorCode::InvalidArgument,
-                 "session has no evaluator endpoints configured", 0};
-  }
-  try {
-    auto client = std::make_unique<svc::Client>();
-    client->connect(config_.evaluators.front());
-    stats_client_ = std::move(client);
-  } catch (const std::exception& e) {
-    return error_from_exception(e);
-  }
-  return stats_client_.get();
-}
-
 Expected<sched::JobClient*> Session::job_client() {
   if (job_client_ && job_client_->connected()) return job_client_.get();
   if (!config_.scheduler) {
@@ -73,7 +57,6 @@ Expected<sched::JobClient*> Session::job_client() {
 }
 
 void Session::drop_job_client() { job_client_.reset(); }
-void Session::drop_stats_client() { stats_client_.reset(); }
 
 // ---- Evaluations ----
 
@@ -185,15 +168,55 @@ Expected<bool> Jobs::ping() {
 // ---- Stats ----
 
 Expected<std::string> Stats::fetch_json(bool include_flight) {
-  Expected<svc::Client*> client = session_.stats_client();
-  if (!client.ok()) return client.error();
+  const SessionConfig& config = session_.config();
+  if (config.evaluators.empty()) {
+    return Error{ErrorCode::InvalidArgument,
+                 "session has no evaluator endpoints configured", 0};
+  }
+  svc::Dialed dialed;
   try {
-    return client.value()->stats_json(include_flight,
-                                      session_.config_.stats_timeout_ms);
+    dialed = svc::dial_hello(config.evaluators.front());
   } catch (const std::exception& e) {
-    session_.drop_stats_client();
     return error_from_exception(e);
   }
+  if (dialed.server_minor < 1) {
+    return Error{ErrorCode::Unsupported,
+                 "svc: server is a protocol-1.0 build without stats support",
+                 0};
+  }
+  svc::StatsRequest request;
+  request.request_id = 1;
+  request.include_flight = include_flight;
+  if (!svc::write_all(dialed.fd.get(),
+                      svc::encode_frame(svc::MsgType::StatsRequest,
+                                        svc::encode_stats_request(request)))) {
+    return Error{ErrorCode::Unavailable,
+                 "svc: connection lost while requesting stats", 0};
+  }
+  svc::Frame frame;
+  const svc::ReadStatus status =
+      svc::read_frame(dialed.fd.get(), frame, config.stats_timeout_ms);
+  if (status != svc::ReadStatus::Ok) {
+    return Error{status == svc::ReadStatus::Timeout ? ErrorCode::Timeout
+                                                    : ErrorCode::Unavailable,
+                 "svc: no stats reply", 0};
+  }
+  if (frame.type == svc::MsgType::Error) {
+    const auto error = svc::decode_error(frame.payload);
+    return Error{ErrorCode::Protocol,
+                 "svc: stats request rejected (" +
+                     std::string(error ? svc::error_code_name(error->code)
+                                       : "malformed") +
+                     "): " + (error ? error->message : ""),
+                 0};
+  }
+  auto response = frame.type == svc::MsgType::StatsResponse
+                      ? svc::decode_stats_response(frame.payload)
+                      : std::nullopt;
+  if (!response || response->request_id != request.request_id) {
+    return Error{ErrorCode::Protocol, "svc: malformed StatsResponse", 0};
+  }
+  return std::move(response->stats_json);
 }
 
 }  // namespace intooa::api

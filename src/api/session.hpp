@@ -5,11 +5,11 @@
 //
 //   evaluations()  one topology evaluation per call, routed over a
 //                  svc::ClientPool across the configured evaluator
-//                  endpoints (a single endpoint is simply a pool of one) —
-//                  subsumes the svc::Client / svc::ClientPool entry points
-//   jobs()         campaign job control against intooa-schedd — subsumes
+//                  endpoints (a single endpoint is simply a pool of one)
+//   jobs()         campaign job control against intooa-schedd, over a
 //                  sched::JobClient
-//   stats()        live telemetry snapshots from an evaluator
+//   stats()        live telemetry snapshots from an evaluator, one
+//                  connection per call
 //
 // Every operation returns api::Expected<T>: a value or one api::Error from
 // the unified taxonomy (api/error.hpp). Nothing throws across the facade
@@ -36,7 +36,6 @@
 #include "sched/client.hpp"
 #include "sched/job.hpp"
 #include "store/record_io.hpp"
-#include "svc/client.hpp"
 #include "svc/client_pool.hpp"
 #include "svc/protocol.hpp"
 #include "svc/socket.hpp"
@@ -125,11 +124,15 @@ class Jobs {
   Session& session_;
 };
 
-/// Telemetry sub-API (one evaluator's live stats). Not thread-safe.
+/// Telemetry sub-API (the first evaluator's live stats). Thread-safe: each
+/// call dials its own connection (svc::dial_hello), makes one
+/// StatsRequest round trip and hangs up.
 class Stats {
  public:
   /// The server's stats document (JSON text; parse with obs::Json).
-  /// Errors: Unsupported (a protocol-1.0 server), Timeout, Unavailable.
+  /// Errors: InvalidArgument (no evaluator configured), Unsupported (a
+  /// protocol-1.0 server), Timeout, Unavailable, Protocol, and a
+  /// handshake Error reply mapped by its wire code (draining is Draining).
   Expected<std::string> fetch_json(bool include_flight = false);
 
  private:
@@ -165,13 +168,10 @@ class Session {
   /// Safe to call from concurrent evaluation threads: the build-and-install
   /// is serialized on pool_mutex_.
   Expected<svc::ClientPool*> eval_pool();
-  /// The lazily connected stats client; Error when connect fails.
-  Expected<svc::Client*> stats_client();
   /// The lazily connected job client; Error when connect fails or no
   /// scheduler configured.
   Expected<sched::JobClient*> job_client();
   void drop_job_client();
-  void drop_stats_client();
 
   SessionConfig config_;
   /// Guards pool_'s install/teardown: evaluations() is documented
@@ -179,7 +179,6 @@ class Session {
   /// the loser destroy) the pool the winner is evaluating against.
   std::mutex pool_mutex_;
   std::unique_ptr<svc::ClientPool> pool_;
-  std::unique_ptr<svc::Client> stats_client_;
   std::unique_ptr<sched::JobClient> job_client_;
   Evaluations evaluations_;
   Jobs jobs_;

@@ -435,10 +435,7 @@ HttpResponse Gateway::route_metrics() const {
 }
 
 HttpResponse Gateway::route_stats() {
-  api::Expected<std::string> stats = [this] {
-    std::lock_guard<std::mutex> lock(session_mutex_);
-    return session_->stats().fetch_json(false);
-  }();
+  api::Expected<std::string> stats = session_->stats().fetch_json(false);
   if (!stats.ok()) return error_response(stats.error());
   HttpResponse response;
   response.body = std::move(stats).take();

@@ -156,8 +156,8 @@ class Gateway {
   std::uint64_t start_ns_ = 0;
 
   std::unique_ptr<api::Session> session_;
-  /// The job/stats sub-APIs are single-connection request/response
-  /// clients; handler threads serialize on this around each call.
+  /// The job sub-API is a single-connection request/response client;
+  /// handler threads serialize on this around each call.
   std::mutex session_mutex_;
 
   std::mutex access_log_mutex_;

@@ -16,8 +16,8 @@
 namespace intooa::obs {
 
 /// Process row the event renders under. Local spans live on kLocalPid;
-/// spans reconstructed from a server's response trailer (svc::Client with
-/// tracing on) land on kRemotePid so the merged view shows two process
+/// spans reconstructed from a server's response trailer (svc::ClientPool
+/// with tracing on) land on kRemotePid so the merged view shows two process
 /// lanes linked by flow arrows.
 inline constexpr int kLocalPid = 1;
 inline constexpr int kRemotePid = 2;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "sched/protocol.hpp"
+#include "svc/connection_host.hpp"
 #include "util/log.hpp"
 #include "util/version.hpp"
 
@@ -35,44 +36,15 @@ namespace {
 }  // namespace
 
 void JobClient::connect(const svc::Address& address) {
-  fd_ = svc::connect_to(address);
-  if (!svc::write_all(fd_.get(),
-                      svc::encode_frame(svc::MsgType::Hello,
-                                        svc::encode_hello()))) {
-    fd_.reset();
-    protocol_error("failed to send Hello",
-                   svc::TransportError::Kind::ConnectionLost);
-  }
-  svc::Frame frame;
-  const svc::ReadStatus hello_status = svc::read_frame(fd_.get(), frame,
-                                                       10'000);
-  if (hello_status != svc::ReadStatus::Ok) {
-    fd_.reset();
-    protocol_error("no handshake reply",
-                   hello_status == svc::ReadStatus::Timeout
-                       ? svc::TransportError::Kind::Timeout
-                       : svc::TransportError::Kind::ConnectionLost);
-  }
-  if (frame.type == svc::MsgType::Error) {
-    fd_.reset();
-    raise_error_reply(frame);
-  }
-  if (frame.type != svc::MsgType::HelloOk) {
-    fd_.reset();
-    protocol_error("expected HelloOk");
-  }
-  const auto hello = svc::decode_hello_ok(frame.payload);
-  if (!hello || hello->version != svc::kProtocolVersion) {
-    fd_.reset();
-    protocol_error("bad HelloOk");
-  }
-  server_minor_ = hello->minor;
-  if (server_minor_ < 2) {
-    fd_.reset();
-    protocol_error("server minor revision " + std::to_string(server_minor_) +
+  svc::Dialed dialed = svc::dial_hello(address);
+  if (dialed.server_minor < 2) {
+    protocol_error("server minor revision " +
+                       std::to_string(dialed.server_minor) +
                        " predates job control (needs >= 2)",
                    svc::TransportError::Kind::Unsupported);
   }
+  fd_ = std::move(dialed.fd);
+  server_minor_ = dialed.server_minor;
   util::log_info("sched: connected",
                  {{"server", address.to_string()},
                   {"server_minor", server_minor_},

@@ -1,14 +1,11 @@
 #pragma once
-// DEPRECATED as an application entry point: new code should use
-// api::Session::jobs() (api/session.hpp), which wraps this client behind
-// Expected returns and the unified api::Error taxonomy. sched::JobClient
-// remains the transport building block the facade is implemented on.
-//
-// Synchronous job-control client for intooa-schedd: connect + handshake,
-// then one request / one reply per call (the operations are cheap state
-// queries — nothing here needs the pipelining machinery of svc::Client).
-// Each call throws std::runtime_error on transport or protocol failure;
-// submit() reports QueueFull in-band via SubmitOutcome.
+// sched::JobClient — the job-control client for intooa-schedd, and the
+// transport under api::Session::jobs(), which wraps it behind Expected
+// returns and the api::Error taxonomy. connect() runs svc::dial_hello and
+// requires minor >= 2; then one request / one reply per call (the
+// operations are cheap state queries — nothing here needs the pipelining
+// of svc::ClientPool). Each call throws std::runtime_error on transport or
+// protocol failure; submit() reports QueueFull in-band via SubmitOutcome.
 
 #include <cstdint>
 #include <optional>
@@ -31,8 +28,8 @@ class JobClient {
  public:
   JobClient() = default;
 
-  /// Connects and performs the Hello/HelloOk handshake. Throws on refusal
-  /// or version mismatch.
+  /// Connects and performs the Hello/HelloOk handshake. Throws on refusal,
+  /// version mismatch, or a server older than minor 2.
   void connect(const svc::Address& address);
 
   bool connected() const { return fd_.valid(); }

@@ -49,10 +49,12 @@
 //      watched job canceled/failed)
 //
 // Options: --connect ADDR --spec S-1 --topology N --count N --batch FILE
-//          --hammer N --retries N --timeout-ms MS --verify --json
+//          --hammer N --timeout-ms MS --verify --json
 //          --sizing-init N --sizing-iters N --candidates N --refit-every N
 //          plus the standard telemetry flags (--trace --metrics
-//          --log-level).
+//          --log-level). --timeout-ms bounds only the stats reply read;
+//          evaluations wait for the pool (Busy backoff and reconnects are
+//          its own).
 
 #include <algorithm>
 #include <atomic>
@@ -481,7 +483,7 @@ int main(int argc, char** argv) {
                           "json", "trace", "metrics", "log-level"});
     } else {
       cli.reject_unknown({"connect", "spec", "topology", "count", "batch",
-                          "hammer", "retries", "timeout-ms", "verify",
+                          "hammer", "timeout-ms", "verify",
                           "sizing-init", "sizing-iters", "candidates",
                           "refit-every", "watch", "prometheus", "json",
                           "flight", "trace", "metrics", "log-level"});

@@ -1,11 +1,14 @@
 #include "svc/client_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "obs/metrics.hpp"
-#include "svc/client.hpp"
+#include "obs/trace.hpp"
+#include "svc/connection_host.hpp"
 #include "util/log.hpp"
 
 namespace intooa::svc {
@@ -26,8 +29,8 @@ std::uint64_t splitmix(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// ±25% deterministic jitter around `base` (same discipline as
-/// retry_backoff_ms: a pure function of the seed, never util::Rng).
+/// ±25% deterministic jitter around `base`: a pure function of the seed,
+/// never util::Rng, which would perturb result streams.
 std::uint32_t jittered_ms(std::uint32_t base, std::uint64_t seed) {
   const auto pct = static_cast<std::int64_t>(splitmix(seed) % 51) - 25;
   const std::int64_t v = static_cast<std::int64_t>(base) +
@@ -35,7 +38,89 @@ std::uint32_t jittered_ms(std::uint32_t base, std::uint64_t seed) {
   return static_cast<std::uint32_t>(std::max<std::int64_t>(v, 1));
 }
 
+/// Per-request trace and span ids: a relaxed atomic counter, never
+/// util::Rng (ids must not perturb any random stream). Each traced request
+/// gets a fresh trace id, which doubles as the flow id linking the client
+/// request span to the server's evaluate span.
+std::uint64_t next_trace_id() {
+  static std::atomic<std::uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Client-side bookkeeping for one traced request on the wire.
+struct TracedSend {
+  std::uint64_t sent_ns = 0;
+  std::uint64_t trace_id = 0;
+  std::uint64_t span_id = 0;  ///< the client request span's id
+};
+
+/// Records the merged client+server spans for one response carrying
+/// server timings.
+void record_merged_spans(const TracedSend& traced,
+                         const ServerTimings& timings,
+                         std::uint64_t received_ns) {
+  if (!obs::trace_enabled()) return;
+  // The client request span, on the local process row. Its flow arrow
+  // (id = trace id) lands on the server's evaluate span.
+  obs::TraceEvent request_span;
+  request_span.name = "svc.client.request";
+  request_span.tid = util::thread_ordinal();
+  request_span.start_ns = traced.sent_ns;
+  request_span.duration_ns =
+      received_ns > traced.sent_ns ? received_ns - traced.sent_ns : 0;
+  request_span.trace_id = traced.trace_id;
+  request_span.span_id = traced.span_id;
+  request_span.flow_out = traced.trace_id;
+  obs::trace_record_event(request_span);
+
+  // The server's stage spans, reconstructed from the response trailer on
+  // the remote-process row. The two clocks are unrelated, so the stages
+  // are laid back-to-back and centered inside the client span (the
+  // remaining slack is symmetric transport time) — an approximation that
+  // preserves every duration exactly.
+  const std::uint64_t server_total = timings.decode_ns + timings.queue_ns +
+                                     timings.eval_ns + timings.encode_ns;
+  std::uint64_t offset = 0;
+  if (request_span.duration_ns > server_total) {
+    offset = (request_span.duration_ns - server_total) / 2;
+  }
+  std::uint64_t cursor = traced.sent_ns + offset;
+  const auto stage = [&](const char* name, std::uint64_t duration_ns,
+                         bool is_evaluate) {
+    obs::TraceEvent event;
+    event.name = name;
+    event.pid = obs::kRemotePid;
+    event.tid = 0;
+    event.start_ns = cursor;
+    event.duration_ns = duration_ns;
+    event.trace_id = timings.trace_id;
+    event.span_id = timings.server_span_id;
+    if (is_evaluate) event.flow_in = traced.trace_id;
+    obs::trace_record_event(event);
+    cursor += duration_ns;
+  };
+  stage("svc.server.decode", timings.decode_ns, false);
+  stage("svc.server.queue", timings.queue_ns, false);
+  stage("svc.server.evaluate", timings.eval_ns, true);
+  stage("svc.server.encode", timings.encode_ns, false);
+}
+
 }  // namespace
+
+std::uint32_t retry_backoff_ms(std::uint32_t hint_ms,
+                               std::uint64_t request_id, int attempt) {
+  const std::uint32_t base = std::clamp<std::uint32_t>(hint_ms, 10u, 2000u);
+  // splitmix64 finalizer over (id, attempt): cheap, deterministic, and
+  // well-spread — and never util::Rng, which would perturb result streams.
+  const std::uint64_t z = splitmix(
+      request_id +
+      0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(attempt) + 1));
+  const auto pct = static_cast<std::int64_t>(z % 51) - 25;  // [-25, +25]
+  const std::int64_t jittered =
+      static_cast<std::int64_t>(base) +
+      static_cast<std::int64_t>(base) * pct / 100;
+  return static_cast<std::uint32_t>(std::max<std::int64_t>(jittered, 1));
+}
 
 std::uint64_t ClientPoolStats::requests() const {
   std::uint64_t total = 0;
@@ -98,7 +183,6 @@ std::optional<EvalResponse> ClientPool::evaluate(const EvalRequest& request,
   pending->request = request;
   pending->request.request_id =
       next_id_.fetch_add(1, std::memory_order_relaxed);
-  pending->request.trace.reset();  // the pool does not propagate traces
   {
     std::unique_lock<std::mutex> lock(ep.mutex);
     if (ep.stop || ep.down) return std::nullopt;
@@ -127,26 +211,6 @@ ClientPoolStats ClientPool::stats() const {
     out.endpoints.push_back(std::move(s));
   }
   return out;
-}
-
-Fd ClientPool::dial(const Address& address) {
-  Fd fd;
-  try {
-    fd = connect_to(address);
-  } catch (const std::exception&) {
-    return Fd();
-  }
-  if (!write_all(fd.get(), encode_frame(MsgType::Hello, encode_hello()))) {
-    return Fd();
-  }
-  Frame frame;
-  if (read_frame(fd.get(), frame, kMidFrameGraceMs) != ReadStatus::Ok ||
-      frame.type != MsgType::HelloOk) {
-    return Fd();
-  }
-  const auto hello = decode_hello_ok(frame.payload);
-  if (!hello || hello->version != kProtocolVersion) return Fd();
-  return fd;
 }
 
 void ClientPool::mark_for_replay(Endpoint& ep) {
@@ -184,8 +248,14 @@ void ClientPool::run_endpoint(Endpoint& ep) {
       std::lock_guard<std::mutex> lock(ep.mutex);
       if (ep.stop) break;
     }
-    Fd fd = dial(ep.address);
-    if (!fd.valid()) {
+    Dialed dialed;
+    try {
+      dialed = dial_hello(ep.address);
+    } catch (const std::exception&) {
+      // Any dial or handshake failure counts toward marking the endpoint
+      // down; the backoff below paces the next attempt.
+    }
+    if (!dialed.fd.valid()) {
       ++consecutive_failures;
       bool newly_down = false;
       {
@@ -232,8 +302,8 @@ void ClientPool::run_endpoint(Endpoint& ep) {
     }
     connected_before = true;
     consecutive_failures = 0;
-    const ServeEnd end = serve(ep, fd.get());
-    fd.reset();
+    const ServeEnd end = serve(ep, dialed.fd.get(), dialed.server_minor);
+    dialed.fd.reset();
     if (end == ServeEnd::Stop) break;
     mark_for_replay(ep);
   }
@@ -241,7 +311,8 @@ void ClientPool::run_endpoint(Endpoint& ep) {
   fail_all(ep);
 }
 
-ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd) {
+ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd,
+                                      std::uint32_t server_minor) {
   static obs::Gauge& inflight_gauge =
       obs::registry().gauge("svc.pool.inflight");
   static obs::Counter& busy_counter = obs::registry().counter("svc.pool.busy");
@@ -258,12 +329,27 @@ ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd) {
     --inflight;
     inflight_gauge.set(static_cast<double>(total_inflight_.fetch_sub(1) - 1));
   };
+  // Trace bookkeeping of this connection's traced requests, by request id
+  // (worker-local; empty unless tracing). A reply settles its entry, and
+  // an Ok reply with server timings records the merged spans.
+  std::unordered_map<std::uint64_t, TracedSend> traced;
+  const auto settle_trace = [&](std::uint64_t id,
+                                const std::optional<ServerTimings>& timings) {
+    if (traced.empty()) return;
+    const auto it = traced.find(id);
+    if (it == traced.end()) return;
+    if (timings) {
+      record_merged_spans(it->second, *timings, obs::detail::monotonic_ns());
+    }
+    traced.erase(it);
+  };
   for (;;) {
     // Send every request that fits under the inflight cap and is past its
     // Busy backoff gate, in request-id order.
     std::vector<std::string> frames;
     std::uint64_t now = obs::detail::monotonic_ns();
     std::uint64_t next_gate_ns = 0;
+    const bool trace = server_minor >= 1 && obs::trace_enabled();
     {
       std::lock_guard<std::mutex> lock(ep.mutex);
       if (ep.stop) return settle(ServeEnd::Stop);
@@ -278,6 +364,15 @@ ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd) {
         }
         p->sent = true;
         ++ep.requests;
+        if (trace) {
+          const TracedSend sent{now, next_trace_id(), next_trace_id()};
+          p->request.trace = TraceContext{sent.trace_id, sent.span_id};
+          traced[id] = sent;
+        } else {
+          // Never a caller's context, nor a stale one on a replay (the
+          // new server may be a 1.0 build).
+          p->request.trace.reset();
+        }
         frames.push_back(encode_frame(MsgType::EvalRequest,
                                       encode_eval_request(p->request)));
       }
@@ -322,6 +417,9 @@ ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd) {
       case MsgType::EvalResponse: {
         auto response = decode_eval_response(frame.payload);
         if (!response) return settle(ServeEnd::Lost);
+        // Before resolving, so the spans are recorded when evaluate()
+        // returns.
+        settle_trace(response->request_id, response->timings);
         std::lock_guard<std::mutex> lock(ep.mutex);
         const auto it = ep.pending.find(response->request_id);
         if (it == ep.pending.end()) break;  // already failed and reaped
@@ -335,6 +433,7 @@ ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd) {
       case MsgType::Busy: {
         const auto busy = decode_busy(frame.payload);
         if (!busy) return settle(ServeEnd::Lost);
+        settle_trace(busy->request_id, std::nullopt);
         std::lock_guard<std::mutex> lock(ep.mutex);
         const auto it = ep.pending.find(busy->request_id);
         if (it == ep.pending.end()) break;
@@ -360,6 +459,7 @@ ClientPool::ServeEnd ClientPool::serve(Endpoint& ep, int fd) {
           // drained request included — replays on the next one.
           return settle(ServeEnd::Lost);
         }
+        settle_trace(error->request_id, std::nullopt);
         std::lock_guard<std::mutex> lock(ep.mutex);
         const auto it = ep.pending.find(error->request_id);
         if (it == ep.pending.end()) break;

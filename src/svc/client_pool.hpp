@@ -1,14 +1,11 @@
 #pragma once
-// DEPRECATED as an application entry point: new code should use
-// api::Session::evaluations() (api/session.hpp), which routes through this
-// pool and maps failures into the api::Error taxonomy. svc::ClientPool
-// remains the transport building block the facade is implemented on (and
-// the campaign runner's direct dependency).
-//
-// svc::ClientPool — the distributed-campaign client: shards evaluation
-// requests across a fleet of intooa-served endpoints and keeps up to a
+// svc::ClientPool — the evaluation client: every EvalRequest that leaves
+// a process goes through one. It shards requests across a fleet of
+// intooa-served endpoints (one endpoint is a pool of one) and keeps up to a
 // configured number of requests pipelined on each connection, matching
-// out-of-order responses to callers by request id.
+// out-of-order responses to callers by request id. The campaign runner
+// (through svc::RemoteBackend) uses it directly; everything else reaches
+// it through api::Session::evaluations().
 //
 // One worker thread per endpoint owns that endpoint's socket exclusively;
 // callers enqueue a pending entry and block until the worker resolves it.
@@ -27,6 +24,13 @@
 // to its local sizer. By the deterministic key-seeded sizing discipline
 // the fallback bytes equal the served bytes, so campaign outputs are
 // byte-identical at any inflight depth, shard count, or failure pattern.
+//
+// Tracing: while span collection is on (obs::trace_enabled()) and the
+// endpoint announced minor >= 1, every request goes out with a fresh trace
+// context, and each response's stage-timing trailer becomes one merged
+// Chrome trace: a svc.client.request span on the local row, the server's
+// svc.server.* stages on the remote row, linked by a flow event. The
+// evaluation bytes are identical either way.
 //
 // Live metrics: svc.pool.inflight (gauge, requests on the wire across all
 // endpoints), svc.pool.reconnects, svc.pool.replays, svc.pool.busy, and
@@ -51,6 +55,16 @@ class Counter;
 }
 
 namespace intooa::svc {
+
+/// Sleep before retrying a Busy-rejected request: the server's hint
+/// clamped to [10 ms, 2 s] — in uint32 space, so a hint above INT_MAX
+/// clamps to the ceiling instead of overflowing negative and hitting the
+/// floor — with deterministic ±25% jitter derived from the request id (and
+/// the attempt ordinal), so a fleet of saturated clients spreads its
+/// retries instead of re-arriving in lockstep. Pure function: the same
+/// (id, attempt) always backs off the same amount.
+std::uint32_t retry_backoff_ms(std::uint32_t hint_ms,
+                               std::uint64_t request_id, int attempt = 0);
 
 /// Tuning knobs; the defaults match the campaign runner's flags.
 struct ClientPoolConfig {
@@ -107,10 +121,11 @@ class ClientPool {
 
   /// Sends `request` to the endpoint selected by `shard_digest` (the
   /// EvalKey digest, so one key always lands on one server's warm store)
-  /// and blocks until it resolves. The pool assigns its own request id;
-  /// the one in `request` is ignored. Returns the response, or nullopt
-  /// when the endpoint is down, the request failed server-side, or the
-  /// pool is shutting down — never throws on service failure.
+  /// and blocks until it resolves. The pool assigns its own request id
+  /// and trace context; those in `request` are ignored. Returns the
+  /// response (with server timings when traced), or nullopt when the
+  /// endpoint is down, the request failed server-side, or the pool is
+  /// shutting down — never throws on service failure.
   std::optional<EvalResponse> evaluate(const EvalRequest& request,
                                        std::uint64_t shard_digest);
 
@@ -157,10 +172,9 @@ class ClientPool {
 
   void run_endpoint(Endpoint& ep);
   /// Pipelines requests on an established connection until it is lost or
-  /// the pool stops.
-  ServeEnd serve(Endpoint& ep, int fd);
-  /// Dials + handshakes; returns an invalid Fd on any failure.
-  Fd dial(const Address& address);
+  /// the pool stops. `server_minor` is the revision its handshake
+  /// announced.
+  ServeEnd serve(Endpoint& ep, int fd, std::uint32_t server_minor);
   /// Marks every sent-unanswered request for resend (counting replays) so
   /// the next connection replays it. Called with the connection dead.
   void mark_for_replay(Endpoint& ep);

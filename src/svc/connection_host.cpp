@@ -275,6 +275,46 @@ bool serve_hello(int fd, const std::string& peer, const ConnectionHost& host,
   return true;
 }
 
+Dialed dial_hello(const Address& address) {
+  Dialed dialed;
+  dialed.fd = connect_to(address);
+  const int fd = dialed.fd.get();
+  if (!write_all(fd, encode_frame(MsgType::Hello, encode_hello()))) {
+    throw TransportError(TransportError::Kind::ConnectionLost,
+                         "svc: connection closed during handshake with " +
+                             address.to_string());
+  }
+  Frame frame;
+  const ReadStatus status = read_frame(fd, frame, kMidFrameGraceMs);
+  if (status != ReadStatus::Ok) {
+    throw TransportError(status == ReadStatus::Timeout
+                             ? TransportError::Kind::Timeout
+                             : TransportError::Kind::ConnectionLost,
+                         "svc: no handshake reply from " +
+                             address.to_string());
+  }
+  if (frame.type == MsgType::Error) {
+    const auto error = decode_error(frame.payload);
+    if (!error) {
+      throw TransportError(TransportError::Kind::Protocol,
+                           "svc: malformed handshake Error reply");
+    }
+    throw RemoteError(error->code,
+                      "svc: server rejected handshake (" +
+                          std::string(error_code_name(error->code)) +
+                          "): " + error->message);
+  }
+  const auto hello = frame.type == MsgType::HelloOk
+                         ? decode_hello_ok(frame.payload)
+                         : std::nullopt;
+  if (!hello || hello->version != kProtocolVersion) {
+    throw TransportError(TransportError::Kind::Protocol,
+                         "svc: malformed handshake reply");
+  }
+  dialed.server_minor = hello->minor;
+  return dialed;
+}
+
 void install_drain_signals(int wake_fd, bool dump_on_usr1) {
   g_signal_wake_fd.store(wake_fd, std::memory_order_relaxed);
   install_handler(SIGTERM, on_drain_signal);

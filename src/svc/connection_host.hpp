@@ -30,8 +30,9 @@
 // steps (flushing a pool, closing a session, its "drained" log line) follow.
 //
 // serve_hello() is the server side of the Hello/HelloOk handshake both
-// framed daemons speak; install_drain_signals() is the SIGTERM/SIGINT
-// handler all three daemon mains install.
+// framed daemons speak and dial_hello() its one client side;
+// install_drain_signals() is the SIGTERM/SIGINT handler all three daemon
+// mains install.
 
 #include <atomic>
 #include <cstdint>
@@ -144,6 +145,21 @@ class ConnectionHost {
 /// daemon's error counter). Returns true once HelloOk is on the wire.
 bool serve_hello(int fd, const std::string& peer, const ConnectionHost& host,
                  int idle_timeout_ms, const std::function<void()>& on_error);
+
+/// A dialed connection that has completed the Hello/HelloOk handshake.
+struct Dialed {
+  Fd fd;
+  /// Minor revision the server announced (0 for a version-1.0 server,
+  /// which supports neither stats nor trace context).
+  std::uint32_t server_minor = 0;
+};
+
+/// Client side of the handshake: dials `address`, sends a Hello with our
+/// version and minor revision, and waits up to kMidFrameGraceMs for the
+/// reply. Throws TransportError on a failed dial, a lost or silent peer, or
+/// a malformed reply, and RemoteError carrying the wire code when the
+/// server answers Error.
+Dialed dial_hello(const Address& address);
 
 /// Routes SIGTERM and SIGINT to `wake_fd` (a daemon's wake_fd()). The first
 /// signal writes one byte, which starts the graceful drain; a second one

@@ -1,6 +1,6 @@
 #pragma once
 // intooa::svc wire protocol — the versioned, length-prefixed binary framing
-// spoken between intooa-served and svc::Client over TCP or Unix-domain
+// spoken between intooa-served and its clients over TCP or Unix-domain
 // sockets (docs/SERVICE.md has the byte-level layout).
 //
 // Every frame is:   u32 payload_len | u8 msg_type | payload[payload_len]

@@ -7,7 +7,7 @@
 //
 //   intooa-served --listen unix:/tmp/intooa.sock --store eval-store.bin
 //
-// and point intooa-svc-client (or any svc::Client) at the same address.
+// and point intooa-svc-client (or any api::Session) at the same address.
 //
 // Options: --listen ADDR (unix:PATH | tcp:HOST:PORT, default
 //          unix:intooa-svc.sock) --threads N --max-inflight N

@@ -42,8 +42,9 @@ class TransportError : public std::runtime_error {
 /// A server-originated Error reply surfaced as an exception, preserving the
 /// wire error code so api::Session can map it into the api::Error taxonomy
 /// (Draining stays retryable, Internal stays permanent) without parsing the
-/// message. MalformedRequest replies keep throwing std::invalid_argument for
-/// backward compatibility; everything else lands here.
+/// message. sched::JobClient throws std::invalid_argument for a
+/// MalformedRequest reply (a rejected job spec); every other Error reply,
+/// including a handshake answered Error (svc::dial_hello), lands here.
 class RemoteError : public std::runtime_error {
  public:
   RemoteError(ErrorCode code, const std::string& what)

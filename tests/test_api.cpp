@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -463,6 +464,35 @@ TEST(ApiSession, StatsDocumentIsServed) {
   const obs::Json root = obs::Json::parse(stats.value());
   EXPECT_TRUE(root.contains("metrics"));
   EXPECT_GE(root.at("protocol_minor").as_number(), 1.0);
+}
+
+// A handshake answered Error surfaces with its wire code (svc::dial_hello
+// throws RemoteError), so a draining evaluator reads as retryable Draining,
+// not as a protocol fault.
+TEST(ApiSession, StatsHandshakeErrorMapsByWireCode) {
+  const svc::Address address = fresh_unix("api-hello-error");
+  svc::Fd listener = svc::listen_on(address);
+  std::thread peer([&] {
+    svc::Fd fd(::accept(listener.get(), nullptr, nullptr));
+    svc::Frame hello;
+    if (svc::read_frame(fd.get(), hello, 10'000) == svc::ReadStatus::Ok) {
+      svc::write_all(fd.get(),
+                     svc::encode_frame(svc::MsgType::Error,
+                                       svc::encode_error(
+                                           {0, svc::ErrorCode::Draining,
+                                            "shutting down"})));
+    }
+  });
+
+  api::SessionConfig config;
+  config.evaluators = {address};
+  api::Session session(std::move(config));
+  const api::Expected<std::string> stats = session.stats().fetch_json();
+  peer.join();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.error().code, api::ErrorCode::Draining);
+  EXPECT_TRUE(stats.error().retryable());
+  ::unlink(address.path.c_str());
 }
 
 TEST(ApiSession, JobControlRoundTripsThroughTheFacade) {

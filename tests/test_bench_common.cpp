@@ -1,6 +1,6 @@
-// Tests for the experiment harness (bench/common): campaign aggregation
-// math (success rates, mean curves, simulations-to-reference), the
-// reference-FoM rule, CLI plumbing, the disk cache round trip, and the
+// Tests for the campaign driver the benches run on (src/campaign):
+// aggregation math (success rates, mean curves, simulations-to-reference),
+// the reference-FoM rule, CLI plumbing, the disk cache round trip, and the
 // parallel/checkpoint-resume guarantees (byte-identical results for any
 // thread count and across an interrupt).
 
@@ -8,13 +8,13 @@
 
 #include <filesystem>
 
-#include "common/campaign.hpp"
+#include "campaign/campaign.hpp"
 #include "runtime/executor.hpp"
 
 namespace {
 
 using namespace intooa;
-using namespace intooa::bench;
+using namespace intooa::campaign;
 
 CampaignParams tiny_params() {
   CampaignParams params;

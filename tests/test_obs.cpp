@@ -21,7 +21,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/campaign.hpp"
+#include "campaign/campaign.hpp"
 #include "obs/obs.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/thread_pool.hpp"
@@ -703,8 +703,8 @@ TEST(Telemetry, RenderReportMentionsPhases) {
 // ---------------------------------------------------------------------------
 // Determinism: telemetry must not perturb campaign results
 
-void expect_sets_identical(const bench::CampaignSet& a,
-                           const bench::CampaignSet& b) {
+void expect_sets_identical(const campaign::CampaignSet& a,
+                           const campaign::CampaignSet& b) {
   ASSERT_EQ(a.runs.size(), b.runs.size());
   for (std::size_t r = 0; r < a.runs.size(); ++r) {
     EXPECT_EQ(a.runs[r].success, b.runs[r].success);
@@ -716,7 +716,7 @@ void expect_sets_identical(const bench::CampaignSet& a,
 }
 
 TEST(Determinism, TracingDoesNotChangeCampaignResults) {
-  bench::CampaignParams params;
+  campaign::CampaignParams params;
   params.runs = 2;
   params.init_topologies = 2;
   params.iterations = 2;
@@ -726,15 +726,15 @@ TEST(Determinism, TracingDoesNotChangeCampaignResults) {
   params.seed = 77;
 
   runtime::set_thread_count(1);
-  const bench::CampaignSet plain =
-      bench::run_or_load("S-1", bench::Method::IntoOa, params, "");
+  const campaign::CampaignSet plain =
+      campaign::run_or_load("S-1", campaign::Method::IntoOa, params, "");
 
   // Same campaign with tracing on and 2 worker threads: results must be
   // identical element-for-element (the instrumentation touches no RNG).
   obs::start_trace();
   runtime::set_thread_count(2);
-  const bench::CampaignSet traced =
-      bench::run_or_load("S-1", bench::Method::IntoOa, params, "");
+  const campaign::CampaignSet traced =
+      campaign::run_or_load("S-1", campaign::Method::IntoOa, params, "");
   runtime::set_thread_count(1);
   const std::string path = temp_file("intooa_test_campaign_trace.json");
   ASSERT_TRUE(obs::write_trace(path));

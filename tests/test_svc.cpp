@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/session.hpp"
 #include "core/eval_key.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -34,8 +35,8 @@
 #include "core/evaluator.hpp"
 #include "store/record_io.hpp"
 #include "store/store.hpp"
-#include "svc/client.hpp"
 #include "svc/client_pool.hpp"
+#include "svc/connection_host.hpp"
 #include "svc/protocol.hpp"
 #include "svc/remote_backend.hpp"
 #include "svc/server.hpp"
@@ -127,6 +128,42 @@ svc::ServerConfig base_config(const svc::Address& address) {
   return config;
 }
 
+// Tests of the server's own wire behaviour (pipelined Busy, drain errors,
+// pings) drive a handshaken connection (svc::dial_hello) frame by frame.
+// Tests of evaluation results go through svc::ClientPool or api::Session,
+// the clients everything else uses.
+
+void send_eval(int fd, const svc::EvalRequest& request) {
+  ASSERT_TRUE(svc::write_all(
+      fd, svc::encode_frame(svc::MsgType::EvalRequest,
+                            svc::encode_eval_request(request))));
+}
+
+/// The next reply frame on `fd`; a failed read also fails the test.
+svc::Frame read_reply(int fd) {
+  svc::Frame frame;
+  EXPECT_EQ(svc::read_frame(fd, frame, 30'000), svc::ReadStatus::Ok);
+  return frame;
+}
+
+/// The EvalResponse a reply frame carries, or nullopt for any other frame.
+std::optional<svc::EvalResponse> as_response(const svc::Frame& frame) {
+  if (frame.type != svc::MsgType::EvalResponse) return std::nullopt;
+  return svc::decode_eval_response(frame.payload);
+}
+
+/// Round-trips a Ping; false on a lost connection or nonce mismatch.
+bool ping(int fd, std::uint64_t nonce) {
+  if (!svc::write_all(fd, svc::encode_frame(svc::MsgType::Ping,
+                                            svc::encode_ping(nonce)))) {
+    return false;
+  }
+  svc::Frame frame;
+  return svc::read_frame(fd, frame, 10'000) == svc::ReadStatus::Ok &&
+         frame.type == svc::MsgType::Pong &&
+         svc::decode_ping(frame.payload) == nonce;
+}
+
 // ---- protocol codec -------------------------------------------------------
 
 TEST(SvcProtocol, HelloRoundTripAndMagicCheck) {
@@ -211,21 +248,21 @@ TEST(SvcProtocol, AddressParsing) {
 
 TEST(SvcServer, RemoteEvaluationIsByteIdenticalToInProcess) {
   TestServer ts(base_config(fresh_unix("svc-bytes")));
-  svc::Client client;
-  client.connect(ts.server.config().address);
+  svc::ClientPool pool({ts.server.config().address});
 
+  // A fresh pool numbers its requests 1, 2, 3, ...
   const svc::EvalRequest request = tiny_request(1, 5);
-  const svc::Reply reply = client.evaluate(request, 30'000);
-  ASSERT_EQ(reply.kind, svc::Reply::Kind::Ok);
-  EXPECT_EQ(reply.response.request_id, 1u);
-  EXPECT_EQ(reply.response.served_from, svc::ServedFrom::Computed);
-  EXPECT_EQ(reply.response.record_payload, evaluate_in_process(request));
+  const auto reply = pool.evaluate(request, 0);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->request_id, 1u);
+  EXPECT_EQ(reply->served_from, svc::ServedFrom::Computed);
+  EXPECT_EQ(reply->record_payload, evaluate_in_process(request));
 
   // Same key again: served from the shard memory cache, same bytes.
-  const svc::Reply warm = client.evaluate(tiny_request(2, 5), 30'000);
-  ASSERT_EQ(warm.kind, svc::Reply::Kind::Ok);
-  EXPECT_EQ(warm.response.served_from, svc::ServedFrom::Memory);
-  EXPECT_EQ(warm.response.record_payload, reply.response.record_payload);
+  const auto warm = pool.evaluate(tiny_request(2, 5), 0);
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_EQ(warm->served_from, svc::ServedFrom::Memory);
+  EXPECT_EQ(warm->record_payload, reply->record_payload);
 
   ts.stop();
   const svc::ServerStats stats = ts.server.stats();
@@ -245,24 +282,22 @@ TEST(SvcServer, WarmStoreServesAcrossServerRestarts) {
     svc::ServerConfig config = base_config(address);
     config.store = store::EvalStore::open(store_path);
     TestServer ts(std::move(config));
-    svc::Client client;
-    client.connect(address);
-    const svc::Reply reply = client.evaluate(request, 30'000);
-    ASSERT_EQ(reply.kind, svc::Reply::Kind::Ok);
-    EXPECT_EQ(reply.response.served_from, svc::ServedFrom::Computed);
-    cold_bytes = reply.response.record_payload;
+    svc::ClientPool pool({address});
+    const auto reply = pool.evaluate(request, 0);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->served_from, svc::ServedFrom::Computed);
+    cold_bytes = reply->record_payload;
   }
   {
     // Fresh server process-equivalent: empty memory cache, same store file.
     svc::ServerConfig config = base_config(address);
     config.store = store::EvalStore::open(store_path);
     TestServer ts(std::move(config));
-    svc::Client client;
-    client.connect(address);
-    const svc::Reply reply = client.evaluate(request, 30'000);
-    ASSERT_EQ(reply.kind, svc::Reply::Kind::Ok);
-    EXPECT_EQ(reply.response.served_from, svc::ServedFrom::Store);
-    EXPECT_EQ(reply.response.record_payload, cold_bytes);
+    svc::ClientPool pool({address});
+    const auto reply = pool.evaluate(request, 0);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->served_from, svc::ServedFrom::Store);
+    EXPECT_EQ(reply->record_payload, cold_bytes);
     ts.stop();
     EXPECT_EQ(ts.server.stats().served_store, 1u);
   }
@@ -343,28 +378,30 @@ TEST(SvcServer, BusyUnderSaturation) {
   config.test_eval_delay_ms = 700;
   config.busy_retry_ms = 123;
   TestServer ts(std::move(config));
-  svc::Client client;
-  client.connect(ts.server.config().address);
+  const svc::Fd fd = svc::dial_hello(ts.server.config().address).fd;
 
   // Two pipelined requests on one connection: the first takes the only
   // in-flight slot (and holds it for test_eval_delay_ms), so the second is
   // rejected Busy immediately — explicit backpressure, not buffering.
-  client.send_request(tiny_request(1, 3));
-  client.send_request(tiny_request(2, 4));
+  send_eval(fd.get(), tiny_request(1, 3));
+  send_eval(fd.get(), tiny_request(2, 4));
 
-  const svc::Reply first = client.read_reply(30'000);
-  ASSERT_EQ(first.kind, svc::Reply::Kind::Busy);
-  EXPECT_EQ(first.busy.request_id, 2u);
-  EXPECT_EQ(first.busy.retry_after_ms, 123u);
+  const svc::Frame first = read_reply(fd.get());
+  ASSERT_EQ(first.type, svc::MsgType::Busy);
+  const auto busy = svc::decode_busy(first.payload);
+  ASSERT_TRUE(busy.has_value());
+  EXPECT_EQ(busy->request_id, 2u);
+  EXPECT_EQ(busy->retry_after_ms, 123u);
 
-  const svc::Reply second = client.read_reply(30'000);
-  ASSERT_EQ(second.kind, svc::Reply::Kind::Ok);
-  EXPECT_EQ(second.response.request_id, 1u);
+  const auto second = as_response(read_reply(fd.get()));
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->request_id, 1u);
 
-  // With the slot free again, the retry path succeeds.
-  const svc::Reply retried =
-      client.evaluate_with_retry(tiny_request(3, 4), 8, 30'000);
-  EXPECT_EQ(retried.kind, svc::Reply::Kind::Ok);
+  // With the slot free again, a resend after the hinted backoff succeeds.
+  std::this_thread::sleep_for(std::chrono::milliseconds(
+      svc::retry_backoff_ms(busy->retry_after_ms, 3)));
+  send_eval(fd.get(), tiny_request(3, 4));
+  EXPECT_TRUE(as_response(read_reply(fd.get())).has_value());
 
   ts.stop();
   EXPECT_GE(ts.server.stats().busy_rejections, 1u);
@@ -375,27 +412,28 @@ TEST(SvcServer, GracefulDrainFinishesInflightAndRefusesNewWork) {
   config.test_eval_delay_ms = 600;
   TestServer ts(std::move(config));
   const std::string socket_path = ts.server.config().address.path;
-  svc::Client client;
-  client.connect(ts.server.config().address);
+  const svc::Fd fd = svc::dial_hello(ts.server.config().address).fd;
 
-  client.send_request(tiny_request(1, 6));
+  send_eval(fd.get(), tiny_request(1, 6));
   // Let the request get admitted before the drain begins.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   ts.server.begin_drain();
-  client.send_request(tiny_request(2, 7));
+  send_eval(fd.get(), tiny_request(2, 7));
 
   // The post-drain request is refused with Error(draining); the admitted
   // one still completes and flushes before the connection closes.
   bool saw_ok = false, saw_draining = false;
   for (int i = 0; i < 2; ++i) {
-    const svc::Reply reply = client.read_reply(30'000);
-    if (reply.kind == svc::Reply::Kind::Ok) {
-      EXPECT_EQ(reply.response.request_id, 1u);
+    const svc::Frame reply = read_reply(fd.get());
+    if (const auto response = as_response(reply)) {
+      EXPECT_EQ(response->request_id, 1u);
       saw_ok = true;
     } else {
-      ASSERT_EQ(reply.kind, svc::Reply::Kind::Error);
-      EXPECT_EQ(reply.error.request_id, 2u);
-      EXPECT_EQ(reply.error.code, svc::ErrorCode::Draining);
+      ASSERT_EQ(reply.type, svc::MsgType::Error);
+      const auto error = svc::decode_error(reply.payload);
+      ASSERT_TRUE(error.has_value());
+      EXPECT_EQ(error->request_id, 2u);
+      EXPECT_EQ(error->code, svc::ErrorCode::Draining);
       saw_draining = true;
     }
   }
@@ -415,8 +453,7 @@ TEST(SvcServer, IdleConnectionsAreClosed) {
   svc::ServerConfig config = base_config(fresh_unix("svc-idle"));
   config.idle_timeout_ms = 200;
   TestServer ts(std::move(config));
-  svc::Client client;
-  client.connect(ts.server.config().address);
+  const svc::Fd idle = svc::dial_hello(ts.server.config().address).fd;
   // Say nothing: the server hangs up after the idle timeout.
   svc::Fd probe = svc::connect_to(ts.server.config().address);
   ASSERT_TRUE(svc::write_all(
@@ -436,10 +473,8 @@ TEST(SvcServer, ConnectionThreadsAreReapedNotAccumulated) {
   TestServer ts(base_config(fresh_unix("svc-reap")));
   constexpr int kConnections = 40;
   for (int i = 0; i < kConnections; ++i) {
-    svc::Client client;
-    client.connect(ts.server.config().address);
-    EXPECT_TRUE(client.ping(static_cast<std::uint64_t>(i) + 1, 10'000));
-    client.close();
+    const svc::Fd fd = svc::dial_hello(ts.server.config().address).fd;
+    EXPECT_TRUE(ping(fd.get(), static_cast<std::uint64_t>(i) + 1));
   }
   // Every connection above is closed; the tracked-thread count must stay
   // far below the total served (finished handlers linger only until the
@@ -457,20 +492,17 @@ TEST(SvcServer, ConcurrentClientsDeduplicateIdenticalKeys) {
   config.threads = 4;
   TestServer ts(std::move(config));
 
-  // Four connections hammering the same evaluation concurrently: the shard
-  // in-progress set must collapse them to one compute, and every reply must
-  // carry identical bytes.
+  // Four connections (one pool each) hammering the same evaluation
+  // concurrently: the shard in-progress set must collapse them to one
+  // compute, and every reply must carry identical bytes.
   std::vector<std::string> payloads(4);
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([&, w] {
-      svc::Client client;
-      client.connect(ts.server.config().address);
-      const svc::Reply reply = client.evaluate(
-          tiny_request(static_cast<std::uint64_t>(w + 1), 8), 60'000);
-      if (reply.kind == svc::Reply::Kind::Ok) {
-        payloads[static_cast<std::size_t>(w)] = reply.response.record_payload;
-      }
+      svc::ClientPool pool({ts.server.config().address});
+      const auto reply = pool.evaluate(
+          tiny_request(static_cast<std::uint64_t>(w + 1), 8), 0);
+      if (reply) payloads[static_cast<std::size_t>(w)] = reply->record_payload;
     });
   }
   for (auto& worker : workers) worker.join();
@@ -496,13 +528,12 @@ TEST(SvcServer, TcpLoopbackRoundTrip) {
       svc::Address::parse("tcp:127.0.0.1:38471"));
   try {
     TestServer ts(std::move(config));
-    svc::Client client;
-    client.connect(ts.server.config().address);
-    EXPECT_TRUE(client.ping(77, 10'000));
-    const svc::Reply reply = client.evaluate(tiny_request(1, 2), 30'000);
-    ASSERT_EQ(reply.kind, svc::Reply::Kind::Ok);
-    EXPECT_EQ(reply.response.record_payload,
-              evaluate_in_process(tiny_request(1, 2)));
+    const svc::Fd fd = svc::dial_hello(ts.server.config().address).fd;
+    EXPECT_TRUE(ping(fd.get(), 77));
+    svc::ClientPool pool({ts.server.config().address});
+    const auto reply = pool.evaluate(tiny_request(1, 2), 0);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->record_payload, evaluate_in_process(tiny_request(1, 2)));
   } catch (const std::runtime_error& error) {
     GTEST_SKIP() << "tcp endpoint unavailable: " << error.what();
   }
@@ -600,19 +631,23 @@ TEST(SvcProtocol, EvalResponseTimingsTrailerIsAdditiveAndValidated) {
 TEST(SvcServer, StatsOverProtocolReportsCountsQuantilesAndFlight) {
   obs::set_enabled(true);
   TestServer ts(base_config(fresh_unix("svc-stats")));
-  svc::Client client;
-  client.connect(ts.server.config().address);
-  EXPECT_EQ(client.server_minor(), svc::kProtocolMinorVersion);
+  const svc::Address& address = ts.server.config().address;
+  EXPECT_EQ(svc::dial_hello(address).server_minor,
+            svc::kProtocolMinorVersion);
 
-  ASSERT_EQ(client.evaluate(tiny_request(1, 3), 30'000).kind,
-            svc::Reply::Kind::Ok);
-  ASSERT_EQ(client.evaluate(tiny_request(2, 4), 30'000).kind,
-            svc::Reply::Kind::Ok);
-  ASSERT_EQ(client.evaluate(tiny_request(3, 3), 30'000).kind,
-            svc::Reply::Kind::Ok);
+  api::SessionConfig config;
+  config.evaluators = {address};
+  config.stats_timeout_ms = 30'000;
+  api::Session session(std::move(config));
+  // The session's pool numbers the three requests 1, 2, 3.
+  ASSERT_TRUE(session.evaluations().evaluate(tiny_request(1, 3)).ok());
+  ASSERT_TRUE(session.evaluations().evaluate(tiny_request(2, 4)).ok());
+  ASSERT_TRUE(session.evaluations().evaluate(tiny_request(3, 3)).ok());
 
-  const obs::Json root =
-      obs::Json::parse(client.stats_json(/*include_flight=*/true, 30'000));
+  const api::Expected<std::string> stats =
+      session.stats().fetch_json(/*include_flight=*/true);
+  ASSERT_TRUE(stats.ok()) << stats.error().message;
+  const obs::Json root = obs::Json::parse(stats.value());
   EXPECT_EQ(root.at("protocol_minor").as_number(),
             static_cast<double>(svc::kProtocolMinorVersion));
   EXPECT_GE(root.at("uptime_seconds").as_number(), 0.0);
@@ -651,16 +686,15 @@ TEST(SvcServer, TraceContextMergesClientAndServerSpans) {
   std::filesystem::remove(trace_path);
   {
     TestServer ts(base_config(fresh_unix("svc-trace")));
-    svc::Client client;
-    client.connect(ts.server.config().address);
-    const svc::Reply reply = client.evaluate(tiny_request(1, 6), 30'000);
-    ASSERT_EQ(reply.kind, svc::Reply::Kind::Ok);
+    svc::ClientPool pool({ts.server.config().address});
+    const auto reply = pool.evaluate(tiny_request(1, 6), 0);
+    ASSERT_TRUE(reply.has_value());
     // Tracing was on and the server speaks minor >= 1, so the reply must
     // carry the stage-timing trailer with a real span id.
-    ASSERT_TRUE(reply.response.timings.has_value());
-    EXPECT_NE(reply.response.timings->trace_id, 0u);
-    EXPECT_NE(reply.response.timings->server_span_id, 0u);
-    EXPECT_GT(reply.response.timings->eval_ns, 0u);
+    ASSERT_TRUE(reply->timings.has_value());
+    EXPECT_NE(reply->timings->trace_id, 0u);
+    EXPECT_NE(reply->timings->server_span_id, 0u);
+    EXPECT_GT(reply->timings->eval_ns, 0u);
   }
   ASSERT_TRUE(obs::write_trace(trace_path));
   const obs::Json trace = obs::Json::parse(slurp(trace_path));
@@ -693,17 +727,16 @@ TEST(SvcServer, TraceContextMergesClientAndServerSpans) {
 
 TEST(SvcServer, WakeByteTwoDumpsFlightWithoutDraining) {
   TestServer ts(base_config(fresh_unix("svc-usr1")));
-  svc::Client client;
-  client.connect(ts.server.config().address);
-  ASSERT_EQ(client.evaluate(tiny_request(1, 2), 30'000).kind,
-            svc::Reply::Kind::Ok);
+  const svc::Fd fd = svc::dial_hello(ts.server.config().address).fd;
+  send_eval(fd.get(), tiny_request(1, 2));
+  ASSERT_TRUE(as_response(read_reply(fd.get())).has_value());
   // Byte 2 on the self-pipe (the SIGUSR1 spelling) dumps the flight
   // recorder but must not start a drain.
   const char byte = 2;
   ASSERT_EQ(::write(ts.server.wake_fd(), &byte, 1), 1);
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_FALSE(ts.server.draining());
-  EXPECT_TRUE(client.ping(42, 10'000));
+  EXPECT_TRUE(ping(fd.get(), 42));
 }
 
 TEST(SvcServer, AccessLogAndStatsFileAreWritten) {
@@ -717,10 +750,8 @@ TEST(SvcServer, AccessLogAndStatsFileAreWritten) {
     config.stats_file = stats_path;
     config.stats_interval_s = 0.05;
     TestServer ts(std::move(config));
-    svc::Client client;
-    client.connect(ts.server.config().address);
-    ASSERT_EQ(client.evaluate(tiny_request(1, 8), 30'000).kind,
-              svc::Reply::Kind::Ok);
+    svc::ClientPool pool({ts.server.config().address});
+    ASSERT_TRUE(pool.evaluate(tiny_request(1, 8), 0).has_value());
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
   const std::string access = slurp(access_path);
@@ -740,19 +771,18 @@ TEST(Determinism, ServedResponsesIdenticalWithTelemetryOnAndOff) {
   const svc::EvalRequest request = tiny_request(1, 11, "S-2");
   const std::string baseline = evaluate_in_process(request);
 
-  // Fully instrumented: metrics on, span collection on (so the client
+  // Fully instrumented: metrics on, span collection on (so the pool
   // attaches trace context and the server returns a timings trailer).
   obs::set_enabled(true);
   obs::start_trace();
   std::string instrumented;
   {
     TestServer ts(base_config(fresh_unix("svc-det-on")));
-    svc::Client client;
-    client.connect(ts.server.config().address);
-    const svc::Reply reply = client.evaluate(request, 30'000);
-    ASSERT_EQ(reply.kind, svc::Reply::Kind::Ok);
-    EXPECT_TRUE(reply.response.timings.has_value());
-    instrumented = reply.response.record_payload;
+    svc::ClientPool pool({ts.server.config().address});
+    const auto reply = pool.evaluate(request, 0);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_TRUE(reply->timings.has_value());
+    instrumented = reply->record_payload;
   }
   obs::stop_trace();
 
@@ -762,12 +792,11 @@ TEST(Determinism, ServedResponsesIdenticalWithTelemetryOnAndOff) {
   std::string dark;
   {
     TestServer ts(base_config(fresh_unix("svc-det-off")));
-    svc::Client client;
-    client.connect(ts.server.config().address);
-    const svc::Reply reply = client.evaluate(request, 30'000);
-    EXPECT_EQ(reply.kind, svc::Reply::Kind::Ok);
-    EXPECT_FALSE(reply.response.timings.has_value());
-    dark = reply.response.record_payload;
+    svc::ClientPool pool({ts.server.config().address});
+    const auto reply = pool.evaluate(request, 0);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_FALSE(reply->timings.has_value());
+    dark = reply->record_payload;
   }
   obs::set_enabled(true);
 
