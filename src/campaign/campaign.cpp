@@ -15,8 +15,8 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "runtime/campaign_runner.hpp"
-#include "runtime/checkpoint.hpp"
 #include "runtime/executor.hpp"
+#include "store/checkpoint.hpp"
 #include "svc/remote_backend.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
@@ -273,7 +273,7 @@ RunResult run_single(const std::string& spec_name, Method method,
   if (remote) svc::attach(evaluator, remote);
 
   if (!checkpoint_path.empty() &&
-      runtime::load_evaluator_checkpoint(checkpoint_path, checkpoint_token,
+      store::load_evaluator_checkpoint(checkpoint_path, checkpoint_token,
                                          evaluator)) {
     util::log_info("resumed " + checkpoint_token + " from checkpoint (" +
                    std::to_string(evaluator.total_simulations()) +
@@ -319,7 +319,7 @@ RunResult run_single(const std::string& spec_name, Method method,
   }
 
   if (!checkpoint_path.empty()) {
-    runtime::save_evaluator_checkpoint(checkpoint_path, checkpoint_token,
+    store::save_evaluator_checkpoint(checkpoint_path, checkpoint_token,
                                        evaluator);
   }
   return run_result_from_evaluator(evaluator, params);

@@ -1,8 +1,7 @@
 #pragma once
-// Append-only job journal of intooa-schedd — the store-log discipline
-// applied to scheduler state: a 16-byte magic + versioned header, then CRC-
-// framed event records (u32 len | u32 crc32(payload) | payload), fsync'd
-// per append, with rebuild-on-open and torn-tail truncation. A daemon that
+// Append-only job journal of intooa-schedd: a store/log.hpp log (magic
+// "intooa-schedjrnl") of CRC-framed event records, fsync'd per append,
+// with rebuild-on-open and torn-tail truncation. A daemon that
 // dies (even SIGKILL mid-append) reopens the journal, replays the intact
 // prefix, and resumes every non-terminal job from the units the journal
 // proved done — whose evaluator checkpoints exist on disk, because a
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "sched/job.hpp"
+#include "store/log.hpp"
 
 namespace intooa::sched {
 
@@ -50,14 +50,13 @@ struct JournalRecovery {
 class JobJournal {
  public:
   /// Opens (creating if absent) and replays the journal. Corrupt or torn
-  /// trailing bytes are truncated (counted in recovery.recovered_tail_bytes
-  /// and the sched.journal.recovered_tail_bytes counter); a bad header or
-  /// wrong version throws std::runtime_error — silently reinterpreting a
-  /// foreign file would corrupt job history.
+  /// trailing bytes, and a header torn during creation, are truncated or
+  /// reinitialized (counted in recovery.recovered_tail_bytes and the
+  /// sched.journal.recovered_tail_bytes counter); a foreign file or wrong
+  /// version throws std::runtime_error — silently reinterpreting a foreign
+  /// file would corrupt job history.
   static std::unique_ptr<JobJournal> open(const std::string& path,
                                           JournalRecovery& recovery);
-
-  ~JobJournal();
 
   JobJournal(const JobJournal&) = delete;
   JobJournal& operator=(const JobJournal&) = delete;
@@ -68,15 +67,14 @@ class JobJournal {
   void state_changed(std::uint64_t job_id, JobState state,
                      const std::string& message);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  explicit JobJournal(std::string path);
+  explicit JobJournal(const std::string& path);
 
   void append(std::string_view payload);
 
-  std::string path_;
-  int fd_ = -1;
+  store::LogFile log_;  ///< closing its fd releases the lifetime flock
   std::uint64_t end_offset_ = 0;
   std::mutex mutex_;
 };

@@ -6,15 +6,14 @@
 // pipeline, byte-identically to a cold run (sizing is a pure function of
 // the core::EvalKey, see core/eval_key.hpp).
 //
-// On-disk format (docs/PERSISTENCE.md):
-//   header  : 16-byte magic "intooa-evalstore", u32 version, u32 reserved
-//   frame*  : u32 payload_len | u32 crc32(payload) | payload
-// where payload is the record_io encoding of (EvalKey, EvalRecord). The
-// log is append-only; records are immutable once written. On open, the log
-// is scanned to rebuild the in-memory index; the first torn or
-// checksum-failing frame ends the valid prefix and the tail beyond it is
-// truncated away (with a warning and the "store.recovered_tail_bytes"
-// counter), so a crash mid-append never poisons the store.
+// On-disk format (docs/PERSISTENCE.md): a store/log.hpp log with magic
+// "intooa-evalstore" whose frame payloads are the record_io encoding of
+// (EvalKey, EvalRecord). The log is append-only; records are immutable once
+// written. On open, the log is scanned to rebuild the in-memory index; the
+// first torn or checksum-failing frame ends the valid prefix and the tail
+// beyond it is truncated away (with a warning and the
+// "store.recovered_tail_bytes" counter), so a crash mid-append never
+// poisons the store.
 //
 // Concurrency: every writer mutation (open-scan, append) runs under an
 // exclusive advisory flock on the log fd, so multiple campaign processes
@@ -37,6 +36,7 @@
 
 #include "core/eval_key.hpp"
 #include "core/evaluator.hpp"
+#include "store/log.hpp"
 
 namespace intooa::store {
 
@@ -60,8 +60,6 @@ class EvalStore {
   /// or was written by an incompatible format version.
   static std::shared_ptr<EvalStore> open(const std::string& path);
 
-  ~EvalStore();
-
   EvalStore(const EvalStore&) = delete;
   EvalStore& operator=(const EvalStore&) = delete;
 
@@ -78,27 +76,19 @@ class EvalStore {
   std::size_t size() const;
 
   StoreStats stats() const;
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  explicit EvalStore(std::string path);
+  explicit EvalStore(const std::string& path);
 
-  struct Entry {
-    std::uint64_t offset = 0;  ///< payload offset in the log
-    std::uint32_t length = 0;  ///< payload length
-    std::uint32_t crc = 0;     ///< expected payload crc32
-  };
-
-  void open_and_recover();
   /// Scans frames from end_offset_ to the end of the log, indexing them;
   /// truncates a trailing invalid frame. Caller holds mutex_ + flock.
   void scan_locked(bool truncate_tail);
-  std::optional<std::string> read_payload_locked(const Entry& entry);
+  void count_recovered(std::uint64_t bytes);
 
-  std::string path_;
-  int fd_ = -1;
+  LogFile log_;
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, Entry> index_;
+  std::unordered_map<std::uint64_t, LogFile::Frame> index_;
   std::uint64_t end_offset_ = 0;  ///< end of the scanned valid prefix
   StoreStats stats_;
 };

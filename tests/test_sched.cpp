@@ -1,5 +1,6 @@
 // Tests for intooa::sched — the job/wire codecs, the persistent journal
-// (replay, torn tails, single-byte corruption fuzzing), the scheduler core
+// (replay, torn tails and headers, foreign files and versions, pinned
+// version-1 bytes, single-byte corruption fuzzing), the scheduler core
 // (completion, QueueFull backpressure, cancellation, strict-priority
 // preemption accounting, weighted fair share, tenant quotas, kill/restart
 // recovery), the JobService protocol end to end over a unix socket (incl.
@@ -278,6 +279,106 @@ TEST(SchedJournal, TornTailIsTruncatedToValidPrefix) {
   sched::JournalRecovery again;
   sched::JobJournal::open(path, again);
   EXPECT_EQ(again.events, 2u);
+  std::filesystem::remove(path);
+}
+
+TEST(SchedJournal, ZeroLengthFileOpensAsEmptyJournal) {
+  const std::string path = fresh_file("intooa_sched_empty.bin");
+  spew(path, "");
+  sched::JournalRecovery recovery;
+  auto journal = sched::JobJournal::open(path, recovery);
+  EXPECT_EQ(recovery.events, 0u);
+  EXPECT_EQ(recovery.recovered_tail_bytes, 0u);
+  EXPECT_TRUE(recovery.jobs.empty());
+  EXPECT_EQ(std::filesystem::file_size(path), 24u);
+  std::filesystem::remove(path);
+}
+
+TEST(SchedJournal, TornHeaderIsReinitialized) {
+  // A crash while the header was being written leaves a prefix of it; the
+  // longest valid prefix of the journal is then empty.
+  const std::string path = fresh_file("intooa_sched_tornhdr.bin");
+  {
+    sched::JournalRecovery recovery;
+    sched::JobJournal::open(path, recovery);
+  }
+  spew(path, slurp(path).substr(0, 10));
+  sched::JournalRecovery recovery;
+  auto journal = sched::JobJournal::open(path, recovery);
+  EXPECT_EQ(recovery.events, 0u);
+  EXPECT_EQ(recovery.recovered_tail_bytes, 10u);
+  sched::JobInfo info;
+  info.id = 1;
+  info.spec = tiny_spec();
+  journal->submitted(info);
+  journal.reset();
+  sched::JournalRecovery again;
+  sched::JobJournal::open(path, again);
+  EXPECT_EQ(again.events, 1u);
+  EXPECT_EQ(again.recovered_tail_bytes, 0u);
+  std::filesystem::remove(path);
+}
+
+TEST(SchedJournal, RejectsForeignFile) {
+  const std::string path = fresh_file("intooa_sched_foreign.bin");
+  spew(path, "this is some other file format, certainly not a journal\n");
+  sched::JournalRecovery recovery;
+  try {
+    sched::JobJournal::open(path, recovery);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not a job journal"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SchedJournal, RejectsIncompatibleVersionWithClearError) {
+  const std::string path = fresh_file("intooa_sched_version.bin");
+  std::string header = "intooa-schedjrnl";
+  const std::uint32_t fields[2] = {sched::kJournalVersion + 41, 0};
+  header.append(reinterpret_cast<const char*>(fields), sizeof fields);
+  spew(path, header);
+  sched::JournalRecovery recovery;
+  try {
+    sched::JobJournal::open(path, recovery);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(sched::kJournalVersion + 41)),
+              std::string::npos)
+        << "error must name the file's version: " << what;
+    EXPECT_NE(what.find("version " + std::to_string(sched::kJournalVersion)),
+              std::string::npos)
+        << "error must name the supported version: " << what;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SchedJournal, Version1BytesArePinned) {
+  // Digest of the same three events written by the version-1 writer before
+  // the layout moved into store/log.cpp: version-1 files stay identical.
+  const std::string path = fresh_file("intooa_sched_pin.bin");
+  {
+    sched::JournalRecovery recovery;
+    auto journal = sched::JobJournal::open(path, recovery);
+    sched::JobInfo info;
+    info.id = 1;
+    info.spec = tiny_spec("acme", 0, 3);
+    info.units_total = 3;
+    journal->submitted(info);
+    journal->unit_done(1, 0, 10);
+    journal->state_changed(1, sched::JobState::Completed, "done");
+  }
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(bytes.size(), 211u);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(hash, 0x6ba16859b1e6be4dULL);
   std::filesystem::remove(path);
 }
 

@@ -1,22 +1,29 @@
 // Unit tests for intooa::store — the record codec, the append-only log's
 // crash recovery (torn tails, flipped bytes, empty files), the versioned
-// header, cross-handle sharing, and the evaluator's read-through /
+// header and its pinned version-1 bytes, cross-handle and cross-process
+// sharing (concurrent creators), the evaluator's read-through /
 // write-behind integration (warm runs replay stored results without
-// touching the sizer).
+// touching the sizer), and exact, all-or-nothing evaluator checkpoints.
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "circuit/library.hpp"
 #include "core/evaluator.hpp"
-#include "runtime/checkpoint.hpp"
+#include "store/checkpoint.hpp"
 #include "store/record_io.hpp"
 #include "store/store.hpp"
 #include "util/fs.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -25,6 +32,28 @@ using namespace intooa;
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+void spew(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// FNV-1a 64 of a file's bytes.
+std::uint64_t file_fnv1a(const std::string& path) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : slurp(path)) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 /// Fresh (deleted-up-front) temp store path for one test.
@@ -312,6 +341,70 @@ TEST(EvalStore, RejectsIncompatibleVersionWithClearError) {
   std::filesystem::remove(path);
 }
 
+TEST(EvalStore, Version1BytesArePinned) {
+  // Digest of the same two appends made by the version-1 writer before the
+  // layout moved into store/log.cpp: version-1 files stay byte-identical.
+  const std::string path = fresh_store("intooa_store_pin.bin");
+  {
+    auto store = store::EvalStore::open(path);
+    ASSERT_TRUE(store->append(test_key(0), test_record(0)));
+    ASSERT_TRUE(store->append(test_key(1), test_record(1)));
+  }
+  EXPECT_EQ(std::filesystem::file_size(path), 716u);
+  EXPECT_EQ(file_fnv1a(path), 0xfaa14cc52ad126acULL);
+  std::filesystem::remove(path);
+}
+
+TEST(EvalStore, ConcurrentCreatorsLoseNoRecord) {
+  // Writers race to create one fresh store and each append a distinct key:
+  // creating the file must never replace one another writer has already
+  // opened and appended to.
+  constexpr std::uint64_t kWriters = 4;
+  const std::string path = temp_path("intooa_store_race.bin");
+  for (int trial = 0; trial < 50; ++trial) {
+    std::filesystem::remove(path);
+    int gate[2];
+    ASSERT_EQ(::pipe(gate), 0);
+    std::vector<pid_t> writers;
+    for (std::uint64_t w = 0; w < kWriters; ++w) {
+      const pid_t pid = ::fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) {
+        ::close(gate[1]);
+        char byte = 0;
+        while (::read(gate[0], &byte, 1) < 0 && errno == EINTR) {
+        }
+        int code = 1;
+        try {
+          code = store::EvalStore::open(path)->append(test_key(w),
+                                                      test_record(w))
+                     ? 0
+                     : 2;
+        } catch (...) {
+          code = 3;
+        }
+        ::_exit(code);
+      }
+      writers.push_back(pid);
+    }
+    ::close(gate[0]);
+    ::close(gate[1]);  // EOF releases every writer at once
+    for (const pid_t pid : writers) {
+      int status = 0;
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+          << "trial " << trial << ": writer status " << status;
+    }
+    auto store = store::EvalStore::open(path);
+    EXPECT_EQ(store->size(), kWriters) << "trial " << trial;
+    for (std::uint64_t w = 0; w < kWriters; ++w) {
+      EXPECT_TRUE(store->lookup(test_key(w)).has_value())
+          << "trial " << trial << ": record " << w << " lost";
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(EvalStore, TwoHandlesOnOneFileSeeEachOthersAppends) {
   // Two in-process handles stand in for two campaign processes: the second
   // handle must pick up the first's appends (refresh scan) both for
@@ -393,12 +486,12 @@ TEST(StoreTier, RestoredCheckpointPopulatesStore) {
   {
     auto original = s1_evaluator();
     original.evaluate(circuit::named_topology("NMC"));
-    runtime::save_evaluator_checkpoint(ckpt, "t", original);
+    store::save_evaluator_checkpoint(ckpt, "t", original);
   }
   auto store = store::EvalStore::open(path);
   auto restored = s1_evaluator();
   store::attach(restored, store);
-  ASSERT_TRUE(runtime::load_evaluator_checkpoint(ckpt, "t", restored));
+  ASSERT_TRUE(store::load_evaluator_checkpoint(ckpt, "t", restored));
   EXPECT_EQ(store->size(), 1u)
       << "records restored from an old checkpoint must reach the store";
   std::filesystem::remove(path);
@@ -413,9 +506,132 @@ TEST(Checkpoint, RejectsIncompatibleVersionMagic) {
            "end\n";
   }
   auto evaluator = s1_evaluator();
-  EXPECT_FALSE(runtime::load_evaluator_checkpoint(path, "t", evaluator));
+  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "t", evaluator));
   EXPECT_EQ(evaluator.history().size(), 0u);
   std::filesystem::remove(path);
+}
+
+sizing::SizingConfig tiny_sizing() {
+  sizing::SizingConfig config;
+  config.init_points = 2;
+  config.iterations = 2;
+  config.candidates = 32;
+  return config;
+}
+
+core::TopologyEvaluator fresh_evaluator() {
+  return core::TopologyEvaluator(
+      sizing::EvalContext(circuit::spec_by_name("S-1")), tiny_sizing());
+}
+
+TEST(Checkpoint, RoundTripIsExact) {
+  auto original = fresh_evaluator();
+  util::Rng rng(2024);
+  original.evaluate(circuit::named_topology("NMC"));
+  original.evaluate(circuit::named_topology("C1"));
+  original.evaluate(circuit::Topology::random(rng));
+
+  const std::string path = temp_path("intooa_ckpt_roundtrip.ckpt");
+  store::save_evaluator_checkpoint(path, "token-a", original);
+
+  auto restored = fresh_evaluator();
+  ASSERT_TRUE(store::load_evaluator_checkpoint(path, "token-a", restored));
+
+  EXPECT_EQ(restored.total_simulations(), original.total_simulations());
+  ASSERT_EQ(restored.history().size(), original.history().size());
+  for (std::size_t i = 0; i < original.history().size(); ++i) {
+    const auto& want = original.history()[i];
+    const auto& got = restored.history()[i];
+    EXPECT_EQ(got.topology, want.topology);
+    EXPECT_TRUE(restored.visited(want.topology));
+    EXPECT_EQ(got.sims_before, want.sims_before);
+    EXPECT_EQ(got.sized.simulations, want.sized.simulations);
+    EXPECT_EQ(got.sized.best_values, want.sized.best_values);  // exact
+    expect_points_equal(got.sized.best, want.sized.best);
+    ASSERT_EQ(got.sized.history.size(), want.sized.history.size());
+    for (std::size_t s = 0; s < want.sized.history.size(); ++s) {
+      expect_points_equal(got.sized.history[s], want.sized.history[s]);
+    }
+  }
+  // The derived campaign aggregates are therefore identical, too.
+  EXPECT_EQ(restored.fom_curve(), original.fom_curve());
+  EXPECT_EQ(restored.best_feasible(), original.best_feasible());
+  EXPECT_EQ(restored.best_overall(), original.best_overall());
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, RejectsWrongToken) {
+  auto original = fresh_evaluator();
+  original.evaluate(circuit::named_topology("NMC"));
+  const std::string path = temp_path("intooa_ckpt_token.ckpt");
+  store::save_evaluator_checkpoint(path, "seed-1", original);
+
+  auto restored = fresh_evaluator();
+  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "seed-2", restored));
+  EXPECT_EQ(restored.history().size(), 0u);  // untouched on rejection
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, RejectsTruncatedFile) {
+  auto original = fresh_evaluator();
+  original.evaluate(circuit::named_topology("NMC"));
+  original.evaluate(circuit::named_topology("C1"));
+  const std::string path = temp_path("intooa_ckpt_trunc.ckpt");
+  store::save_evaluator_checkpoint(path, "t", original);
+
+  std::string contents;
+  {
+    std::ifstream in(path);
+    contents.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  {
+    std::ofstream out(path);
+    out << contents.substr(0, contents.size() / 2);
+  }
+  auto restored = fresh_evaluator();
+  EXPECT_FALSE(store::load_evaluator_checkpoint(path, "t", restored));
+  EXPECT_EQ(restored.history().size(), 0u);
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, EveryFlippedByteIsRejected) {
+  auto original = fresh_evaluator();
+  original.evaluate(circuit::named_topology("NMC"));
+  original.evaluate(circuit::named_topology("C1"));
+  const std::string path = temp_path("intooa_ckpt_flip.ckpt");
+  store::save_evaluator_checkpoint(path, "t", original);
+  const std::string pristine = slurp(path);
+  ASSERT_FALSE(pristine.empty());
+
+  // Header, frame lengths, CRCs and payloads alike: no single flipped bit
+  // may load, and a rejected load must leave the evaluator empty.
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::Error);  // one warning per flip
+  for (std::size_t i = 0; i < pristine.size(); ++i) {
+    std::string bytes = pristine;
+    bytes[i] = static_cast<char>(bytes[i] ^ 0x01);
+    spew(path, bytes);
+    auto restored = fresh_evaluator();
+    EXPECT_FALSE(store::load_evaluator_checkpoint(path, "t", restored))
+        << "a checkpoint with byte " << i << " flipped loaded";
+    EXPECT_EQ(restored.history().size(), 0u);
+  }
+  util::set_log_level(level);
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, MissingFileReturnsFalse) {
+  auto restored = fresh_evaluator();
+  EXPECT_FALSE(store::load_evaluator_checkpoint(
+      temp_path("intooa_ckpt_does_not_exist.ckpt"), "t", restored));
+}
+
+TEST(Checkpoint, RestoreRejectsDuplicateTopology) {
+  auto evaluator = fresh_evaluator();
+  evaluator.evaluate(circuit::named_topology("NMC"));
+  core::EvalRecord duplicate = evaluator.history()[0];
+  EXPECT_THROW(evaluator.restore(std::move(duplicate)),
+               std::invalid_argument);
 }
 
 TEST(AtomicWriteFile, WritesContentsAndCreatesParents) {
